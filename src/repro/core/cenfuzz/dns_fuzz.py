@@ -119,6 +119,7 @@ class DNSFuzzer:
     def __init__(self, sim: Simulator, client: Client) -> None:
         self.sim = sim
         self.client = client
+        self.engine = sim.batch_engine()
         self._strategies = dns_strategies()
 
     def _send(self, endpoint_ip: str, payload: bytes, ttl: int) -> List:
@@ -133,7 +134,7 @@ class DNSFuzzer:
             ttl=ttl,
             net=net,
         )
-        received = self.sim.send_from_client(packet)
+        received = self.engine.send(packet)
         self.sim.advance(3.0)
         return [p for p in received if p.is_udp]
 

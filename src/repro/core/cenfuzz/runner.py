@@ -147,7 +147,7 @@ class CenFuzz:
         self.config = config or CenFuzzConfig()
         self.matcher = matcher or DEFAULT_MATCHER
         # Probe traffic rides the batched packet plane (scalar fallback
-        # applies automatically for worlds it cannot fast-path).
+        # applies automatically while capture is on).
         self.engine = sim.batch_engine()
         self._strategies = all_strategies()
         # Built payload per (permutation, domain): permutation builders

@@ -67,6 +67,7 @@ class ResidualProbe:
     ) -> None:
         self.sim = sim
         self.client = client
+        self.engine = sim.batch_engine()
         self.control_domain = control_domain
         self.max_duration = max_duration
         self.probes_used = 0
@@ -76,7 +77,10 @@ class ResidualProbe:
     def _request_ok(self, endpoint_ip: str, domain: str, port: int = 80) -> bool:
         """True when a request for ``domain`` gets application data back."""
         self.probes_used += 1
-        conn = open_connection(self.sim, self.client, endpoint_ip, port, retries=1)
+        conn = open_connection(
+            self.sim, self.client, endpoint_ip, port, retries=1,
+            engine=self.engine,
+        )
         if conn is None:
             return False
         result = conn.send_payload(HTTPRequest.normal(domain).build(), retries=1)
@@ -90,7 +94,10 @@ class ResidualProbe:
 
     def _trigger(self, endpoint_ip: str, domain: str) -> None:
         self.probes_used += 1
-        conn = open_connection(self.sim, self.client, endpoint_ip, 80, retries=1)
+        conn = open_connection(
+            self.sim, self.client, endpoint_ip, 80, retries=1,
+            engine=self.engine,
+        )
         if conn is not None:
             conn.send_payload(HTTPRequest.normal(domain).build())
             conn.close()

@@ -140,8 +140,8 @@ class CenTrace:
         self.config = config or CenTraceConfig()
         self.matcher = blockpage_matcher or DEFAULT_MATCHER
         # All probe traffic goes through the batched packet plane; the
-        # engine transparently falls back to the scalar walk for worlds
-        # it cannot fast-path (fault plans, capture, devices mid-path).
+        # engine transparently falls back to the scalar walk only while
+        # capture is on.
         self.engine = sim.batch_engine()
 
     # -- public API -------------------------------------------------------

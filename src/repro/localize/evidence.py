@@ -157,7 +157,7 @@ def _probe_once(
     tel = sim.telemetry
     if tel.enabled:
         tel.count("localize.probes")
-    conn = Connection(sim, client, endpoint_ip, port)
+    conn = Connection(sim, client, endpoint_ip, port, engine=sim.batch_engine())
     established = conn.connect(retries=2)
     if established:
         payload = build_probe_payload(domain, protocol)

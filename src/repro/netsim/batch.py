@@ -29,10 +29,14 @@ observable behaviour *exactly*:
   their identifier allocations — keeping the NetContext streams
   bit-identical with the scalar loop — without ever building a packet.
 
-Anything the fast path does not cover falls back *transparently* to the
-scalar engine (``sim.send_from_client`` / ``_run_transit``): fault
-plans (per-link loss profiles, ICMP rate limiting, path churn, flaky
-devices, delivery shaping), capture mode, and injected-to-server
+Fault plans run on the same compiled plans, in the scalar walk's draw
+order: per-link loss profiles draw from the fault RNG against per-hop
+rates cached on the plan, flaky-device fates are rolled before each
+inspection, token-bucket ICMP suppression is checked on expiry, and
+path churn and delivery shaping wrap each send exactly as in
+``send_from_client``. Only capture mode (whose pcap-like log names every
+hop event) falls back *transparently* to the scalar engine
+(``sim.send_from_client`` / ``_run_transit``), as do injected-to-server
 continuations mid-walk. Correctness therefore never depends on batch
 coverage; the batch hit rate is visible via the
 ``sim.batch_fast_path`` / ``sim.batch_scalar_fallback`` counters and
@@ -52,6 +56,7 @@ from ..netmodel.ip import FlowKey, IPHeader, checksum16
 from ..netmodel.icmp import time_exceeded
 from ..netmodel.packet import Packet, icmp_packet
 from ..netmodel.udp import UDPDatagram
+from .faults import FATE_FAIL_CLOSED, FATE_FAIL_OPEN, LossProfile
 from .interfaces import DIRECTION_FORWARD, InspectionContext, Verdict
 from .routing import Path
 from .simulator import (
@@ -90,7 +95,8 @@ class PathPlan:
 
     Plans are pure functions of the path and topology (no per-unit
     state), so they survive ``Simulator.reset`` and are cached on the
-    engine keyed by path identity.
+    engine keyed by path identity. The loss rates a fault plan's
+    profile assigns to the path's links are cached on the plan too.
     """
 
     __slots__ = (
@@ -104,6 +110,9 @@ class PathPlan:
         "routers_reachable",
         "device_hops",
         "rewrites",
+        "nodes",
+        "_loss_profile",
+        "_loss_rates",
     )
 
     def __init__(self, path: Path, topology) -> None:
@@ -155,6 +164,26 @@ class PathPlan:
             if hop.link_devices
         )
         self.rewrites = tuple(rewrites)
+        self.nodes = nodes
+        self._loss_profile: Optional[LossProfile] = None
+        self._loss_rates: Tuple[Tuple[float, ...], float] = ((), 0.0)
+
+    def loss_rates(
+        self, profile: LossProfile
+    ) -> Tuple[Tuple[float, ...], float]:
+        """``profile``'s rate for the link leading to each hop, plus the
+        client link's rate — cached for the last profile seen.
+
+        The fault-plan walks index this tuple instead of resolving
+        ``LossProfile.rate_for`` link by link.
+        """
+        if self._loss_profile is not profile:
+            self._loss_rates = (
+                tuple(profile.rate_for(node) for node in self.nodes),
+                profile.rate_for(None),
+            )
+            self._loss_profile = profile
+        return self._loss_rates
 
 
 class BatchEngine:
@@ -254,18 +283,22 @@ class BatchEngine:
         expiry path derive the ICMP quote by patching the TTL byte
         instead of re-serializing the transport payload.
 
-        Falls back to the scalar engine whenever a fault plan or
-        capture is active — every fault behaviour (per-link loss
-        profiles, token-bucket ICMP suppression, path churn, flaky
-        device fates, delivery shaping) stays implemented in exactly
-        one place.
+        Fault plans stay on the fast path: the send counts toward path
+        churn before its path is picked, and the deliveries are shaped
+        (duplication, reordering) after the walk, as in the scalar
+        engine. Only capture mode falls back to ``send_from_client``.
         """
         sim = self.sim
-        if sim._faults is not None or sim._capture_enabled:
+        if sim._capture_enabled:
             self._note(False)
             return sim.send_from_client(packet)
         self._note(True)
         sim.clock += sim.per_packet_time
+        faults = sim._faults
+        path_seed = sim.seed
+        if faults is not None:
+            faults.note_client_packet(sim.clock)
+            path_seed = faults.path_seed(sim.seed)
         src = packet.ip.src
         route = self._route_for(src, packet.ip.dst)
         if len(route.paths) == 1:
@@ -278,16 +311,43 @@ class BatchEngine:
                 if packet.is_tcp
                 else FlowKey(src, packet.ip.dst, 0, 0, 1)
             )
-            path = route.select(flow, seed=sim.seed)
+            path = route.select(flow, seed=path_seed)
         plan = self.plan_for(path)
         deliveries: List[Packet] = []
         self._walk_forward(plan, packet, deliveries, wire_bytes)
+        if faults is not None:
+            deliveries = faults.shape_deliveries(deliveries, sim._clone)
         tel = sim.telemetry
         if tel.enabled:
             tel.count("sim.client_packets")
             if deliveries:
                 tel.count("sim.deliveries", len(deliveries))
         return deliveries
+
+    def _fault_lost(
+        self, rates: Tuple[float, ...], start: int, stop: int
+    ) -> bool:
+        """Fault-plan loss on the links leading to hops ``start .. stop-1``.
+
+        ``Simulator._link_lost`` under a loss profile, in the same
+        order: every link rolled counts one ``sim.fault_loss_rolls``,
+        and only a positive rate draws from the fault RNG.
+        """
+        sim = self.sim
+        faults = sim._faults
+        tel = sim.telemetry
+        rnd = faults.rng.random
+        for j in range(start, stop):
+            rate = rates[j]
+            if rate > 0.0 and rnd() < rate:
+                faults.counters.packets_lost += 1
+                if tel.enabled:
+                    tel.count("sim.fault_loss_rolls", j + 1 - start)
+                    tel.count("sim.packets_lost")
+                return True
+        if tel.enabled and stop > start:
+            tel.count("sim.fault_loss_rolls", stop - start)
+        return False
 
     def _walk_forward(
         self,
@@ -300,6 +360,14 @@ class BatchEngine:
         tel = sim.telemetry
         tel_on = tel.enabled
         rate = sim.loss_rate
+        faults = sim._faults
+        rates = None
+        flaky = False
+        if faults is not None:
+            if faults.per_link_loss:
+                # The profile replaces the uniform rate wholesale.
+                rates = plan.loss_rates(faults.plan.loss)[0]
+            flaky = faults.plan.flaky_devices is not None
         start_ttl = packet.ip.ttl
         client_ip = packet.ip.src
         # Resolve the terminal hop arithmetically: the k-th router (if
@@ -325,7 +393,11 @@ class BatchEngine:
             for dev_hop, devices in plan.device_hops:
                 if dev_hop > last_hop:
                     break
-                if rate > 0:
+                if rates is not None:
+                    if self._fault_lost(rates, cursor, dev_hop + 1):
+                        return
+                    cursor = dev_hop + 1
+                elif rate > 0:
                     rnd = sim._rng.random
                     for _ in range(dev_hop + 1 - cursor):
                         if rnd() < rate:
@@ -340,6 +412,14 @@ class BatchEngine:
                 )
                 remaining = start_ttl - plan.routers_before[dev_hop]
                 for device in devices:
+                    if flaky:
+                        if tel_on:
+                            tel.count("sim.fault_device_rolls")
+                        fate = faults.device_fate(device)
+                        if fate == FATE_FAIL_OPEN:
+                            continue
+                        if fate == FATE_FAIL_CLOSED and device.in_path:
+                            return
                     ctx = InspectionContext(
                         clock=sim.clock,
                         remaining_ttl=remaining,
@@ -360,7 +440,10 @@ class BatchEngine:
                         if tel_on:
                             tel.count("sim.device_drops")
                         return
-        if rate > 0:
+        if rates is not None:
+            if self._fault_lost(rates, cursor, last_hop + 1):
+                return
+        elif rate > 0:
             rnd = sim._rng.random
             for _ in range(last_hop + 1 - cursor):
                 if rnd() < rate:
@@ -424,6 +507,12 @@ class BatchEngine:
         if not router.responds_icmp:
             if tel.enabled:
                 tel.count("sim.icmp_silent")
+            return
+        faults = sim._faults
+        if faults is not None and faults.icmp_suppressed(router, sim.clock):
+            # Token bucket empty: this expiry goes unanswered.
+            if tel.enabled:
+                tel.count("sim.icmp_rate_limited")
             return
         if tel.enabled:
             tel.count("sim.icmp_generated")
@@ -512,15 +601,42 @@ class BatchEngine:
         Replicates the scalar reverse policy: one loss draw per link
         (hops ``start_index-1 .. 0`` plus the client link, in order),
         TTL decrement at routers with silent expiry, arrival TTL on the
-        delivered packet. With no uniform loss the whole walk reduces
-        to one subtraction against the plan's router counts.
+        delivered packet. Under a fault-plan loss profile the draws come
+        from the fault RNG at the plan's cached per-link rates. With no
+        loss at all the whole walk reduces to one subtraction against
+        the plan's router counts.
         """
         sim = self.sim
         tel = sim.telemetry
         tel_on = tel.enabled
         rate = sim.loss_rate
         ttl = pkt.ip.ttl
-        if rate > 0:
+        faults = sim._faults
+        if faults is not None and faults.per_link_loss:
+            rates, client_rate = plan.loss_rates(faults.plan.loss)
+            rnd = faults.rng.random
+            is_router = plan.is_router
+            rolls = 0
+            for j in range(start_index - 1, -1, -1):
+                rolls += 1
+                link_rate = rates[j]
+                if link_rate > 0.0 and rnd() < link_rate:
+                    self._fault_reverse_lost(rolls)
+                    return
+                if is_router[j]:
+                    ttl -= 1
+                    if ttl <= 0:
+                        if tel_on:
+                            tel.count("sim.fault_loss_rolls", rolls)
+                            tel.count("sim.reverse_ttl_expired")
+                        return
+            rolls += 1
+            if client_rate > 0.0 and rnd() < client_rate:
+                self._fault_reverse_lost(rolls)
+                return
+            if tel_on:
+                tel.count("sim.fault_loss_rolls", rolls)
+        elif rate > 0:
             rnd = sim._rng.random
             is_router = plan.is_router
             for j in range(start_index - 1, -1, -1):
@@ -547,6 +663,15 @@ class BatchEngine:
             ttl -= crossed
         pkt.ip.ttl = ttl
         deliveries.append(pkt)
+
+    def _fault_reverse_lost(self, rolls: int) -> None:
+        """Account a reverse-walk fault-plan loss after ``rolls`` links."""
+        sim = self.sim
+        sim._faults.counters.packets_lost += 1
+        tel = sim.telemetry
+        if tel.enabled:
+            tel.count("sim.fault_loss_rolls", rolls)
+            tel.count("sim.packets_lost")
 
     def _dispatch_injections(
         self,
@@ -618,10 +743,11 @@ class BatchEngine:
         DNS case: the transaction ID is derived from the port); it is
         invoked only for materialized probes.
 
-        Falls back to the scalar loop per probe (through :meth:`send`)
-        whenever a fault plan, capture, ECMP multi-path routing, an
-        on-path device or a header-rewriting router makes per-probe
-        state observable mid-walk.
+        Sends probe by probe through :meth:`send` instead whenever a
+        fault plan, capture, ECMP multi-path routing, an on-path device
+        or a header-rewriting router makes per-probe state observable
+        mid-walk. Each of those probes still takes the per-send fast
+        path; only capture falls back to the scalar engine.
         """
         sim = self.sim
         route = self._route_for(client_ip, dst_ip)
@@ -633,19 +759,19 @@ class BatchEngine:
         plan = self.plan_for(route.paths[0]) if eligible else None
         if plan is not None and (plan.device_hops or plan.rewrites):
             # Devices need the in-flight packet; header rewrites change
-            # quote/arrival bytes mid-walk. Both stay scalar (per probe,
-            # via send(), which itself fast-paths rewrites correctly).
+            # quote/arrival bytes mid-walk. Both go per probe through
+            # send(), which fast-paths devices and rewrites correctly.
             eligible = False
         with self.batch(label):
             if not eligible:
-                return self._scalar_ladder(
+                return self._per_probe_ladder(
                     client_ip, dst_ip, dport, ttls, payload_for, tos
                 )
             return self._fast_ladder(
                 plan, client_ip, dst_ip, dport, ttls, payload_for, tos
             )
 
-    def _scalar_ladder(
+    def _per_probe_ladder(
         self, client_ip, dst_ip, dport, ttls, payload_for, tos
     ) -> List[List[Packet]]:
         from ..netmodel.packet import udp_packet

@@ -208,8 +208,8 @@ class Simulator:
 
         One engine per simulator: measurement tools share its compiled
         path plans and batch framing. The engine's ``send`` is
-        semantically identical to :meth:`send_from_client`, falling back
-        to it whenever a fault plan or capture is active.
+        semantically identical to :meth:`send_from_client`, fault plans
+        included, falling back to it only while capture is active.
         """
         if self._batch_engine is None:
             from .batch import BatchEngine  # local import: avoids a cycle

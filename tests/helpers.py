@@ -14,7 +14,7 @@ from repro.devices.base import CensorshipDevice
 from repro.devices.vendors import VendorProfile, make_device
 from repro.geo.asdb import ASDatabase
 from repro.netsim.routing import Hop, Path, Route
-from repro.netsim.simulator import Simulator
+from repro.netsim.simulator import POLICY_FORWARD, Simulator
 from repro.netsim.topology import Client, Endpoint, Router, Topology
 from repro.services.webserver import ServerProfile, WebServer
 
@@ -103,3 +103,23 @@ def make_profile_device(
     **kwargs,
 ) -> CensorshipDevice:
     return make_device(profile, "test-device", domains, **kwargs)
+
+
+def count_forward_transits(sim: Simulator) -> dict:
+    """Wrap ``sim._run_transit`` to tally client-probe walks.
+
+    Only :func:`~repro.netsim.simulator.Simulator.send_from_client`
+    creates POLICY_FORWARD transits, so counting them counts exactly
+    the probes the *scalar* engine walked end to end (responses,
+    expiries and injections use other policies).
+    """
+    counts = {"forward": 0}
+    inner = sim._run_transit
+
+    def counting(transit, deliveries):
+        if transit.policy is POLICY_FORWARD:
+            counts["forward"] += 1
+        return inner(transit, deliveries)
+
+    sim._run_transit = counting
+    return counts

@@ -6,11 +6,17 @@ base RNG draw stream, NetContext identifier streams, the virtual clock
 and every telemetry counter. These tests drive both engines over the
 same workloads on fresh worlds and compare all five surfaces.
 
-The fast subset (plain / device / rewrite worlds at two loss rates)
-runs in tier 1; the exhaustive world x loss grid and the fault-plan
-fallback presets ride behind ``--runslow``.
+Fault plans run on the batched plane too, so every snapshot also
+compares the fault state: the fault RNG's next draws, the ground-truth
+fault counters, the churn epoch and the ICMP token-bucket levels.
+
+The fast subset (plain / device / rewrite worlds at two loss rates,
+the fault presets on the device world, churn on ECMP, a lossy DNS
+ladder) runs in tier 1; the exhaustive world x loss grid and the
+fault-preset grid ride behind ``--runslow``.
 """
 
+import dataclasses
 import sys
 from pathlib import Path as _Path
 
@@ -23,6 +29,7 @@ from helpers import (
     ENDPOINT_IP,
     OK_DOMAIN,
     build_linear_world,
+    count_forward_transits,
     make_profile_device,
 )
 
@@ -30,7 +37,13 @@ from repro.devices.vendors import KZ_STATE
 from repro.netmodel import tcp as tcpmod
 from repro.netmodel.packet import tcp_packet, udp_packet
 from repro.netsim.batch import BatchEngine, patched_quote
-from repro.netsim.faults import PRESETS
+from repro.netsim.faults import (
+    PRESETS,
+    FaultPlan,
+    FlakyDeviceProfile,
+    IcmpRateLimitProfile,
+    LossProfile,
+)
 from repro.netsim.routing import Hop, Path, Route
 from repro.netsim.simulator import Simulator
 from repro.netsim.tcpstack import open_connection
@@ -148,6 +161,22 @@ def build_dns_world(loss_rate=0.0, seed=7, n_routers=6, silent=()):
     return sim, client, endpoint
 
 
+#: Per-AS and per-link loss overrides (some lossless, so some links take
+#: no fault draw), a slow ICMP refill and a device that fails both ways.
+#: No preset has lossless links or fails closed often enough to show in
+#: a short workload.
+MIXED_PLAN = FaultPlan(
+    name="mixed",
+    loss=LossProfile(
+        default_rate=0.04,
+        as_rates=((64502, 0.0), (64504, 0.15)),
+        link_rates=(("r0", 0.0), ("endpoint", 0.1)),
+    ),
+    icmp_rate_limit=IcmpRateLimitProfile(capacity=1, refill_rate=0.01),
+    flaky_devices=FlakyDeviceProfile(fail_open_rate=0.15, fail_closed_rate=0.15),
+)
+
+
 # ---------------------------------------------------------------------------
 # Workloads + observable snapshots
 # ---------------------------------------------------------------------------
@@ -177,16 +206,32 @@ def observe(sim, tel):
     counters.pop("sim.batch_fast_path", None)
     counters.pop("sim.batch_scalar_fallback", None)
     counters.pop("sim.batches", None)
+    faults = sim._faults
+    fault_state = None
+    if faults is not None:
+        fault_state = (
+            [faults.rng.random() for _ in range(4)],
+            dataclasses.asdict(faults.counters),
+            sim.churn_epoch,
+            faults.packets_sent,
+            {
+                name: (bucket.tokens, bucket.stamp)
+                for name, bucket in sorted(faults._buckets.items())
+            },
+        )
     return (
         repr(sim.net_context),
         [sim._rng.random() for _ in range(4)],
         sim.clock,
         counters,
+        fault_state,
     )
 
 
 def run_pair(builder, loss_rate, workload=tcp_workflow, plan=None):
-    """Run ``workload`` scalar then batched on fresh worlds; compare."""
+    """Run ``workload`` scalar then batched on fresh worlds; compare.
+
+    Returns the (shared) observation snapshot."""
     results = []
     for use_engine in (False, True):
         world = builder(loss_rate=loss_rate)
@@ -201,6 +246,7 @@ def run_pair(builder, loss_rate, workload=tcp_workflow, plan=None):
     (scalar_out, scalar_obs), (batch_out, batch_obs) = results
     assert scalar_out == batch_out
     assert scalar_obs == batch_obs
+    return scalar_obs
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +313,21 @@ class TestSendParity:
             results.append((out, observe(sim, tel)))
         assert results[0] == results[1]
 
+    def test_multipath_churn_parity(self):
+        # Churn re-hashes ECMP mid-workload: both engines must count the
+        # send before picking its path, so flows switch paths together.
+        results = []
+        for use_engine in (False, True):
+            sim, client, _ep = build_multipath_world()
+            tel = Telemetry()
+            sim.set_telemetry(tel)
+            sim.set_fault_plan(PRESETS["churn"])
+            engine = sim.batch_engine() if use_engine else None
+            out = tcp_workflow(sim, client, engine=engine)
+            results.append((out, observe(sim, tel)))
+        assert results[0] == results[1]
+        assert results[0][1][-1][2] > 0  # the churn epoch really moved
+
     def test_rng_stream_identical_after_lossy_walks(self):
         # Beyond matching deliveries: the *entire* base draw stream must
         # stay aligned (each link crossed consumes exactly one draw).
@@ -306,7 +367,7 @@ def scalar_ladder_reference(sim, client, ttls):
     return results
 
 
-def ladder_pair(builder, loss_rate, ttls=None, **world_kw):
+def ladder_pair(builder, loss_rate, ttls=None, plan=None, **world_kw):
     from repro.netmodel.dns import query
 
     if ttls is None:
@@ -316,6 +377,8 @@ def ladder_pair(builder, loss_rate, ttls=None, **world_kw):
         sim, client, _ep = builder(loss_rate=loss_rate, **world_kw)
         tel = Telemetry()
         sim.set_telemetry(tel)
+        if plan is not None:
+            sim.set_fault_plan(plan)
         if use_engine:
             engine = sim.batch_engine()
             out = engine.run_udp_ladder(
@@ -344,6 +407,9 @@ class TestLadderParity:
     def test_silent_routers(self):
         ladder_pair(build_dns_world, 0.0, silent=(0, 2))
 
+    def test_lossy_fault_plan(self):
+        ladder_pair(build_dns_world, 0.0, plan=PRESETS["lossy"])
+
     def test_ladder_uses_fast_path_on_clean_world(self):
         sim, client, _ep = build_dns_world()
         tel = Telemetry()
@@ -356,41 +422,49 @@ class TestLadderParity:
         assert "sim.batch_scalar_fallback" not in tel.counters
 
     def test_ladder_falls_back_under_fault_plan(self):
+        # A fault plan takes the ladder off the array path, onto
+        # per-probe sends that each stay on the fast path.
         sim, client, _ep = build_dns_world()
         tel = Telemetry()
         sim.set_telemetry(tel)
         sim.set_fault_plan(PRESETS["lossy"])
+        counts = count_forward_transits(sim)
         engine = sim.batch_engine()
         engine.run_udp_ladder(
             client.ip, ENDPOINT_IP, 53, range(1, 9), lambda sport: b"x"
         )
-        assert tel.counters.get("sim.batch_scalar_fallback") == 8
-        assert "sim.batch_fast_path" not in tel.counters
+        assert tel.counters.get("sim.batch_fast_path") == 8
+        assert "sim.batch_scalar_fallback" not in tel.counters
+        assert counts["forward"] == 0
 
 
 # ---------------------------------------------------------------------------
-# Scalar fallback under fault plans (parity by construction, but the
-# dispatch itself and the counters must behave)
+# Routing: fault plans ride the fast path, capture falls back
 # ---------------------------------------------------------------------------
 
 
 class TestFallback:
     @pytest.mark.parametrize("preset", ["lossy", "ratelimit", "flaky"])
-    def test_fault_plans_take_the_scalar_path(self, preset):
+    def test_fault_plans_take_the_fast_path(self, preset):
         world = world_device()
         sim = world.sim
         tel = Telemetry()
         sim.set_telemetry(tel)
         sim.set_fault_plan(PRESETS[preset])
+        counts = count_forward_transits(sim)
         engine = sim.batch_engine()
         tcp_workflow(sim, world.client, engine=engine, n=4)
-        assert tel.counters.get("sim.batch_scalar_fallback", 0) > 0
-        assert "sim.batch_fast_path" not in tel.counters
+        assert tel.counters.get("sim.batch_fast_path", 0) > 0
+        assert "sim.batch_scalar_fallback" not in tel.counters
+        assert counts["forward"] == 0
 
-    @pytest.mark.parametrize("preset", ["lossy", "ratelimit", "flaky"])
+    @pytest.mark.parametrize(
+        "preset",
+        ["lossy", "ratelimit", "flaky", "chaos", "churn", "duplicate"],
+    )
     def test_fault_plan_outcomes_match_direct_scalar(self, preset):
-        # The fallback must not change behaviour: engine.send under a
-        # plan == sim.send_from_client under the same plan.
+        # The batched walk must not change behaviour: engine.send under
+        # a plan == sim.send_from_client under the same plan.
         results = []
         for use_engine in (False, True):
             world = world_device()
@@ -402,6 +476,13 @@ class TestFallback:
             out = tcp_workflow(sim, world.client, engine=engine, n=8)
             results.append((out, observe(sim, tel)))
         assert results[0] == results[1]
+
+    def test_mixed_fault_plan_parity(self):
+        observed = run_pair(world_device, 0.0, plan=MIXED_PLAN)
+        # The workload really exercised every fault the plan declares.
+        fault_counters = observed[-1][1]
+        for name in ("packets_lost", "icmp_suppressed", "fail_open", "fail_closed"):
+            assert fault_counters[name] > 0, name
 
     def test_capture_mode_falls_back(self):
         world = world_plain()
@@ -420,28 +501,6 @@ class TestFallback:
 # actually walked this probe", so it must tally exactly the probes the
 # scalar engine ran — not approximately.
 # ---------------------------------------------------------------------------
-
-
-def count_forward_transits(sim):
-    """Wrap ``sim._run_transit`` to tally client-probe walks.
-
-    Only :func:`~repro.netsim.simulator.Simulator.send_from_client`
-    creates POLICY_FORWARD transits, so counting them counts exactly
-    the probes the *scalar* engine walked end to end (responses,
-    expiries and injections use other policies).
-    """
-    from repro.netsim.simulator import POLICY_FORWARD
-
-    counts = {"forward": 0}
-    inner = sim._run_transit
-
-    def counting(transit, deliveries):
-        if transit.policy is POLICY_FORWARD:
-            counts["forward"] += 1
-        return inner(transit, deliveries)
-
-    sim._run_transit = counting
-    return counts
 
 
 class TestFallbackAccounting:
@@ -469,12 +528,11 @@ class TestFallbackAccounting:
         sim = world.sim
         sim.set_fault_plan(PRESETS["lossy"])
         counters, forwards = self.drive(sim, n=6)
-        # Every probe fell back, and every fallback really went through
-        # the scalar engine's transit walk — one POLICY_FORWARD transit
-        # per probe, no fast-path leakage.
-        assert counters.get("sim.batch_scalar_fallback") == 6
-        assert forwards == 6
-        assert "sim.batch_fast_path" not in counters
+        # Fault plans stay on the batched walk: no probe fell back, and
+        # the scalar transit engine saw no client probe either.
+        assert counters.get("sim.batch_fast_path") == 6
+        assert "sim.batch_scalar_fallback" not in counters
+        assert forwards == 0
 
     def test_fallback_counter_equals_scalar_walks_under_capture(self):
         world = world_plain()

@@ -329,15 +329,20 @@ class TestBatchCounters:
     def test_fallback_counter_under_fault_plan(self):
         from repro.netsim.faults import PRESETS
 
+        from .helpers import count_forward_transits
+
         world = self._world()
         tel = Telemetry()
         world.sim.set_telemetry(tel)
         world.sim.set_fault_plan(PRESETS["lossy"])
+        counts = count_forward_transits(world.sim)
         engine = world.sim.batch_engine()
         for i in range(2):
             engine.send(self._syn(world, 41000 + i))
-        assert tel.counters["sim.batch_scalar_fallback"] == 2
-        assert "sim.batch_fast_path" not in tel.counters
+        # Fault plans ride the fast path: nothing falls back.
+        assert tel.counters["sim.batch_fast_path"] == 2
+        assert "sim.batch_scalar_fallback" not in tel.counters
+        assert counts["forward"] == 0
 
     def test_batch_event_size_histogram(self):
         world = self._world()
@@ -360,15 +365,15 @@ class TestBatchCounters:
         ]
 
     def test_batch_event_mixes_fast_and_fallback(self):
-        from repro.netsim.faults import PRESETS
-
         world = self._world()
         tel = Telemetry()
         world.sim.set_telemetry(tel)
         engine = world.sim.batch_engine()
         with engine.batch("mixed"):
             engine.send(self._syn(world, 43000))
-            world.sim.set_fault_plan(PRESETS["lossy"])
+            # Capture is the one mode the batched walk hands back to
+            # the scalar engine.
+            world.sim._capture_enabled = True
             engine.send(self._syn(world, 43001))
         event = [e for e in tel.events if e["kind"] == "sim.batch"][0]
         assert event["size"] == 2
