@@ -36,6 +36,7 @@ from .persist import (
     save_localization,
     trace_result_to_dict,
 )
+from .service.jobs import ServiceError
 
 _WORLD_CACHE = {}
 
@@ -908,10 +909,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PersistError, DriftError) as exc:
+    except (PersistError, DriftError, ServiceError) as exc:
         # Any analysis path reading a missing/truncated/corrupt run
-        # directory — or a malformed drift-plan spec — reports cleanly
-        # instead of tracebacking.
+        # directory — or a malformed drift-plan spec or service setting
+        # — reports cleanly instead of tracebacking.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,12 +20,32 @@ Flow control, all surfaced as ``service.*`` telemetry counters:
   done-cache) instead of enqueueing a second execution.
 * **Rate limiting** — per-tenant token buckets; one token admits one
   unit (coalesced or not: tokens price tenant *demand*, not backend
-  work). Buckets refill on every service tick — a tick follows each
-  dispatched unit, and an idle dispatcher ticks whenever submitters are
-  parked on empty buckets, so throttling can never deadlock.
-* **Backpressure** — admission of *new* (non-coalesced) units awaits a
-  bounded count of queued-not-yet-started units. Duplicates are never
-  back-pressured; they add no backend work.
+  work). Buckets refill on every service tick: a tick follows each
+  dispatched unit, and an idle dispatcher also ticks whenever
+  submitters are parked, so throttling can never deadlock.
+* **FIFO hand-off** — a submitter that finds its bucket empty parks on
+  a future at the tail of that bucket's waiter deque. Each tick
+  refills the buckets (in sorted tenant order) and hands every whole
+  token straight to the head waiter: the tick takes the token on the
+  waiter's behalf and resolves its future. A woken submitter therefore
+  owns its token and never re-checks the bucket, and a tick resumes
+  only the submitters it admits, not every parked one. A fresh arrival
+  takes a token only while its bucket has no waiters, so it never
+  overtakes a parked submitter of the same tenant: a tenant's units
+  pass the gate in arrival order.
+* **Backpressure** — admission of *new* (non-coalesced) units needs
+  one of ``max_pending`` slots; a slot is held from admission until
+  the dispatcher starts the unit. Submitters without a slot park in
+  one FIFO deque, and each tick hands at most the free slots to its
+  head. Duplicates are never back-pressured; they add no backend work.
+  A submitter woken with a slot re-checks the coalescing table (its
+  key may have been admitted meanwhile) and, if it coalesces, releases
+  the slot, so the next tick passes it to the next waiter.
+* **Stop and cancel** — :meth:`CampaignService.stop` fails every parked
+  submitter at both gates with ``ServiceError("service stopped")``. A
+  submitter cancelled while parked leaves its deque without consuming
+  anything; one cancelled after its token or slot was handed over
+  gives it back (the token to its bucket, the slot to the next waiter).
 * **Priorities** — a binary heap on ``(priority, admission_seq)``:
   lower priority value first, FIFO within a priority level.
 * **Retry-or-report** — a unit whose worker process died
@@ -40,8 +60,9 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..experiments.executor import CampaignExecutor, ExecutorError, unit_work_key
 from ..geo.countries import StudyWorld
@@ -91,26 +112,70 @@ class ServiceConfig:
     #: ``None`` keeps the service memory-only, as before.
     cache_dir: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        # Each rejected value would hang the service: no token or slot
+        # would ever be handed out, or no executor could run a unit.
+        if self.rate is not None and not self.rate > 0:
+            raise ServiceError(f"rate must be > 0 or None, got {self.rate}")
+        if self.burst < 1:
+            raise ServiceError(f"burst must be >= 1, got {self.burst}")
+        if self.max_pending < 1:
+            raise ServiceError(
+                f"max_pending must be >= 1, got {self.max_pending}"
+            )
+        if self.max_retries < 0:
+            raise ServiceError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
+        if self.workers is not None and self.workers < 1:
+            raise ServiceError(
+                f"workers must be >= 1 or None, got {self.workers}"
+            )
+
+
+def _hand_off(waiters: Deque[asyncio.Future]) -> bool:
+    """Resolve the first still-parked waiter; False if there is none.
+
+    Futures of submitters cancelled while parked are dropped on the way.
+    """
+    while waiters:
+        waiter = waiters.popleft()
+        if not waiter.done():
+            waiter.set_result(None)
+            return True
+    return False
+
 
 class _TokenBucket:
-    __slots__ = ("rate", "burst", "tokens")
+    __slots__ = ("rate", "burst", "tokens", "waiters")
 
     def __init__(self, rate: Optional[float], burst: int) -> None:
         self.rate = rate
         self.burst = float(burst)
         self.tokens = float(burst)
+        #: Parked submitters, oldest first; each is handed one token.
+        self.waiters: Deque[asyncio.Future] = deque()
 
     def try_take(self) -> bool:
+        """Take a token for a fresh arrival, never ahead of a waiter."""
         if self.rate is None:
             return True
-        if self.tokens >= 1.0:
+        if self.tokens >= 1.0 and not self.waiters:
             self.tokens -= 1.0
             return True
         return False
 
     def refill(self) -> None:
-        if self.rate is not None:
-            self.tokens = min(self.burst, self.tokens + self.rate)
+        """Add one tick's tokens and hand each whole one to a waiter."""
+        if self.rate is None:
+            return
+        self.tokens = min(self.burst, self.tokens + self.rate)
+        while self.tokens >= 1.0 and _hand_off(self.waiters):
+            self.tokens -= 1.0
+
+    def give_back(self) -> None:
+        """Return a handed-off token its submitter will never use."""
+        self.tokens = min(self.burst, self.tokens + 1.0)
 
 
 @dataclass
@@ -164,13 +229,14 @@ class CampaignService:
         self._states: Dict[Tuple, _UnitState] = {}
         self._heap: List[Tuple[int, int, Tuple]] = []
         self._seq = 0
-        self._pending = 0  # distinct units queued-but-not-started
+        # Backpressure slots held: units queued-but-not-started plus
+        # slots handed to woken submitters that have not enqueued yet.
+        self._pending = 0
+        self._slot_waiters: Deque[asyncio.Future] = deque()
         self._buckets: Dict[str, _TokenBucket] = {}
-        self._progress = asyncio.Condition()
         self._wake = asyncio.Event()
         self._dispatcher: Optional[asyncio.Task] = None
         self._running = False
-        self._token_waiters = 0
         self.max_depth = 0
         # Cross-restart persistence: payloads of completed units, keyed
         # by the same content hash the epoch scheduler uses (so an
@@ -192,6 +258,14 @@ class CampaignService:
     async def stop(self) -> None:
         self._running = False
         self._wake.set()
+        stopped = ServiceError("service stopped")
+        for waiters in [self._slot_waiters] + [
+            bucket.waiters for bucket in self._buckets.values()
+        ]:
+            for waiter in waiters:
+                if not waiter.done():
+                    waiter.set_exception(stopped)
+            waiters.clear()
         # Snapshot-and-clear before awaiting: a start() racing this
         # stop() would otherwise have its fresh dispatcher clobbered by
         # the stale write after the await (RP802's check-then-act shape).
@@ -281,6 +355,8 @@ class CampaignService:
                 # this re-check double-enqueues the key and orphans the
                 # first state's subscribers.
                 state = self._states.get(key)
+                if state is not None:
+                    self._release_slot()
             if state is not None:
                 tel.count("service.coalesced")
                 if state.status in (_DONE, _FAILED):
@@ -303,9 +379,8 @@ class CampaignService:
             state.subscribers.append((stream, False))
             self._states[key] = state
             heapq.heappush(self._heap, (request.priority, self._seq, key))
-            self._pending += 1
-            if self._pending > self.max_depth:
-                self.max_depth = self._pending
+            if len(self._heap) > self.max_depth:
+                self.max_depth = len(self._heap)
             tel.count("service.units_enqueued")
             self._wake.set()
             # Yield so the dispatcher can interleave with bulk
@@ -357,28 +432,53 @@ class CampaignService:
     async def _admit_tokens(self, bucket: _TokenBucket) -> None:
         if bucket.try_take():
             return
-        # Counted once per blocked admission (not per recheck): the
-        # number of unit admissions the rate limiter actually delayed.
+        # Counted once per blocked admission: the number of unit
+        # admissions the rate limiter actually delayed.
         self.telemetry.count("service.rate_limited_waits")
-        async with self._progress:
-            while not bucket.try_take():
-                self._token_waiters += 1
-                self._wake.set()
-                try:
-                    await self._progress.wait()
-                finally:
-                    self._token_waiters -= 1
+        await self._park(bucket.waiters, bucket.give_back)
 
     async def _admit_backpressure(self) -> None:
-        if self._pending < self.config.max_pending:
+        """Hold one backpressure slot; released when dispatch starts."""
+        if self._pending < self.config.max_pending and not self._slot_waiters:
+            self._pending += 1
             return
         self.telemetry.count("service.backpressure_waits")
-        async with self._progress:
-            while self._pending >= self.config.max_pending:
-                self._wake.set()
-                await self._progress.wait()
+        await self._park(self._slot_waiters, self._release_slot)
+
+    async def _park(
+        self, waiters: Deque[asyncio.Future], give_back: Callable[[], None]
+    ) -> None:
+        """Wait at the tail of ``waiters`` until a tick hands this
+        submitter what it waits for (the tick takes it on its behalf).
+        """
+        if not self._running:
+            raise ServiceError("service stopped")
+        waiter = asyncio.get_running_loop().create_future()
+        waiters.append(waiter)
+        self._wake.set()
+        try:
+            await waiter
+        except asyncio.CancelledError:
+            if waiter.cancelled():
+                # Still parked (or already dropped by a hand-off).
+                if waiter in waiters:
+                    waiters.remove(waiter)
+            elif waiter.exception() is None:
+                give_back()
+            raise
+
+    def _release_slot(self) -> None:
+        """Free a held slot; the next tick hands it to a waiter."""
+        self._pending -= 1
+        self._wake.set()
 
     # -- dispatch -----------------------------------------------------
+
+    def _needs_tick(self) -> bool:
+        """Whether parked submitters wait on a tick with no unit queued."""
+        if self._slot_waiters and self._pending < self.config.max_pending:
+            return True
+        return any(bucket.waiters for bucket in self._buckets.values())
 
     async def _dispatch_loop(self) -> None:
         while self._running:
@@ -389,24 +489,25 @@ class CampaignService:
                 state.status = _RUNNING
                 self._execute(state)
                 await self._tick()
-            elif self._token_waiters:
-                # Submitters are parked on empty buckets with nothing
-                # in flight to drive refills: tick so rate limiting
-                # throttles contention without deadlocking an idle
-                # queue.
+            elif self._needs_tick():
+                # Nothing in flight drives refills: tick so throttling
+                # and freed slots never deadlock an idle queue.
                 await self._tick()
             else:
                 self._wake.clear()
-                if self._heap or self._token_waiters or not self._running:
+                if self._heap or self._needs_tick() or not self._running:
                     continue
                 await self._wake.wait()
 
     async def _tick(self) -> None:
-        """One service tick: refill every bucket, wake every waiter."""
+        """One service tick: refill every bucket and hand tokens and free
+        slots to the head waiters; no other parked submitter wakes."""
         for tenant in sorted(self._buckets):
             self._buckets[tenant].refill()
-        async with self._progress:
-            self._progress.notify_all()
+        while self._pending < self.config.max_pending and _hand_off(
+            self._slot_waiters
+        ):
+            self._pending += 1
         # Hand the loop to woken submitters before the next dispatch.
         await asyncio.sleep(0)
 

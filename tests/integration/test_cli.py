@@ -1,9 +1,14 @@
 """Command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -326,6 +331,38 @@ class TestServe:
         )
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--rate", "0"),
+            ("--rate", "-1"),
+            ("--burst", "0"),
+            ("--max-pending", "0"),
+        ],
+    )
+    def test_serve_rejects_flow_control_that_would_hang(self, flag, value):
+        # A separate process with a timeout: an accepted bad value hangs
+        # the swarm instead of failing.
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--country", "AZ", "--scale", "0.35", "--requests", "20",
+                flag, value,
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert proc.returncode == 2
+        errors = [
+            line for line in proc.stderr.splitlines()
+            if line.startswith("error:")
+        ]
+        assert len(errors) == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestExperiment:

@@ -6,6 +6,7 @@ import asyncio
 import dataclasses
 import heapq
 import json
+import sys
 
 import pytest
 
@@ -170,6 +171,214 @@ class TestQueueMechanics:
         assert stats["units_executed"] == 5
         assert len(r1) == len(r2) == 5
         assert all(r.ok for r in r1 + r2)
+
+
+class TestFlowControl:
+    """FIFO hand-off at both admission gates: a tick resumes only the
+    submitters it admits, in arrival order, and stop/cancel never strand
+    or leak a token or slot."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate", 0.0),
+            ("rate", -1.0),
+            ("burst", 0),
+            ("max_pending", 0),
+            ("max_retries", -1),
+            ("workers", 0),
+        ],
+    )
+    def test_config_rejects_values_that_would_hang(self, field, value):
+        with pytest.raises(ServiceError, match=field):
+            ServiceConfig(**{field: value})
+
+    @staticmethod
+    def _record_admissions(service, tasks):
+        """Indices into ``tasks`` (arrival order, appended to later),
+        in the order they pass the token gate."""
+        admitted = []
+        admit_tokens = service._admit_tokens
+
+        async def recording(bucket):
+            await admit_tokens(bucket)
+            admitted.append(tasks.index(asyncio.current_task()))
+
+        service._admit_tokens = recording
+        return admitted
+
+    def test_tick_resumes_only_admitted_submitters(self):
+        """Regression for the thundering herd: with both gates full of
+        parked submitters, every gate coroutine resumes at most once per
+        wait it recorded, and each tenant admits in arrival order."""
+        gates = {
+            CampaignService._admit_tokens.__code__,
+            CampaignService._admit_backpressure.__code__,
+        }
+        frames = {}  # id -> frame (held, so ids are never reused)
+        entries = [0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in gates:
+                entries[0] += 1
+                frames[id(frame)] = frame
+
+        async def main():
+            config = ServiceConfig(rate=1.0, burst=1, max_pending=2)
+            async with CampaignService(config) as service:
+                pool = pool_for(service)[:12]
+                tasks = []
+                for index in range(300):
+                    tasks.append(
+                        asyncio.ensure_future(
+                            service.submit(
+                                request(
+                                    [pool[index % len(pool)]],
+                                    tenant=f"t{index % 2}",
+                                )
+                            )
+                        )
+                    )
+                admitted = self._record_admissions(service, tasks)
+                sys.setprofile(profile)
+                try:
+                    streams = await asyncio.gather(*tasks)
+                finally:
+                    sys.setprofile(None)
+                for stream in streams:
+                    assert all(r.ok for r in await stream.collect())
+                return service.stats(), admitted
+
+        stats, admitted = run(main())
+        assert stats["rate_limited_waits"] > 0
+        assert stats["backpressure_waits"] > 0
+        assert stats["max_queue_depth"] <= 2
+        # Each gate call is one entry; each wait adds one resumption.
+        # Re-waking parked submitters every tick multiplies entries by
+        # the number of ticks they stay parked.
+        admissions = len(frames)
+        resumptions = entries[0]
+        assert resumptions <= (
+            admissions + stats["rate_limited_waits"]
+            + stats["backpressure_waits"]
+        )
+        assert sorted(admitted) == list(range(300))
+        for tenant in (0, 1):
+            order = [index for index in admitted if index % 2 == tenant]
+            assert order == sorted(order)
+
+    def test_cancelled_submitters_leave_fifo_and_tokens_intact(self):
+        async def main():
+            service = CampaignService(ServiceConfig(rate=1.0, burst=3))
+            # No dispatcher: the test drives the ticks itself.
+            service._running = True
+            unit = pool_for(service)[0]
+            tasks = [
+                asyncio.ensure_future(service.submit(request([unit])))
+                for _ in range(8)
+            ]
+            admitted = self._record_admissions(service, tasks)
+            await asyncio.sleep(0)
+            bucket = service._buckets["t0"]
+            # 0-2 took the burst; 3-7 are parked in arrival order.
+            assert bucket.tokens == 0.0 and len(bucket.waiters) == 5
+            # Cancelled while parked: leaves the deque, takes nothing.
+            tasks[4].cancel()
+            await asyncio.sleep(0)
+            assert len(bucket.waiters) == 4
+            # Cancelled after the hand-off: the token goes back.
+            bucket.refill()
+            assert bucket.tokens == 0.0 and len(bucket.waiters) == 3
+            tasks[3].cancel()
+            await asyncio.sleep(0)
+            assert bucket.tokens == 1.0
+            # A fresh arrival queues behind the parked submitters even
+            # though the bucket holds a token.
+            tasks.append(asyncio.ensure_future(service.submit(request([unit]))))
+            await asyncio.sleep(0)
+            assert bucket.tokens == 1.0 and len(bucket.waiters) == 4
+            for _ in range(3):
+                await service._tick()
+            assert not bucket.waiters and bucket.tokens == 0.0
+            await asyncio.gather(*tasks, return_exceptions=True)
+            return admitted, [task.cancelled() for task in tasks]
+
+        admitted, cancelled = run(main())
+        assert admitted == [0, 1, 2, 5, 6, 7, 8]
+        assert cancelled == [False] * 3 + [True, True] + [False] * 4
+
+    def test_coalescing_waiter_passes_its_slot_on_in_fifo_order(self):
+        async def main():
+            service = CampaignService(ServiceConfig(max_pending=1))
+            # No dispatcher: dispatch() does what it does before running
+            # a unit, and the test drives the ticks itself.
+            service._running = True
+            units = pool_for(service)[:4]
+
+            def submit(unit):
+                return asyncio.ensure_future(service.submit(request([unit])))
+
+            def dispatch():
+                heapq.heappop(service._heap)
+                service._pending -= 1
+
+            tasks = [submit(units[0]), submit(units[1]), submit(units[1])]
+            tasks.append(submit(units[2]))
+            await asyncio.sleep(0)
+            # units[0] holds the only slot; the other three wait for it.
+            assert len(service._slot_waiters) == 3
+            dispatch()
+            await service._tick()  # the first units[1] submitter enqueues
+            dispatch()
+            await service._tick()  # the second coalesces, freeing its slot
+            assert service._pending == 0
+            assert len(service._slot_waiters) == 1
+            # A fresh arrival waits behind the parked units[2] submitter.
+            tasks.append(submit(units[3]))
+            await asyncio.sleep(0)
+            assert service._pending == 0
+            assert len(service._slot_waiters) == 2
+            await service._tick()
+            queued = [key for _, _, key in service._heap]
+            for task in tasks[:4]:
+                await task
+            tasks[4].cancel()
+            return queued, units, service.stats()
+
+        queued, units, stats = run(main())
+        assert [key[-1] for key in queued] == [units[2].key]
+        assert stats["coalesced"] == 1
+
+    def test_stop_fails_parked_submitters(self):
+        async def main():
+            config = ServiceConfig(rate=1e-6, burst=1, max_pending=1)
+            service = await CampaignService(config).start()
+            units = pool_for(service)[:40]
+            # The first request is admitted at once; its second unit
+            # reaches the token gate only after stop().
+            batches = [units[:1] * 2] + [[unit] for unit in units[1:]]
+            tasks = [
+                asyncio.ensure_future(
+                    service.submit(request(batch, tenant=f"t{index % 4}"))
+                )
+                for index, batch in enumerate(batches)
+            ]
+            await asyncio.sleep(0)
+            stats = service.stats()
+            await service.stop()
+            done, pending = await asyncio.wait(tasks, timeout=3)
+            return stats, done, pending
+
+        stats, done, pending = run(main())
+        # One unit holds the only slot; 3 tenants wait for it, and every
+        # tenant's later arrivals wait for tokens.
+        assert stats["backpressure_waits"] == 3
+        assert stats["rate_limited_waits"] == 36
+        assert not pending
+        for task in done:
+            error = task.exception()
+            assert isinstance(error, ServiceError)
+            assert "service stopped" in str(error)
 
 
 class TestFailureHandling:
