@@ -15,6 +15,10 @@ pipeline, plus the simulated network substrate they run on:
 * :mod:`repro.geo` — the AZ/BY/KZ/RU study worlds and IP metadata
 * :mod:`repro.experiments` — one module per paper table/figure
 
+Importing ``repro`` loads none of these: each entry point imports only
+the subpackages it runs, so a short measurement command does not pay
+for scipy or networkx (see DESIGN.md, "Import surface").
+
 Quickstart::
 
     from repro.geo import build_world
@@ -27,23 +31,6 @@ Quickstart::
 """
 
 __version__ = "1.0.0"
-
-# NB: `repro.cli` is deliberately absent — it is the console entry
-# point (`repro = repro.cli:main`) and the layer lint (RP401) bans any
-# library code, including this package init, from importing it.
-from . import (
-    analysis,
-    baselines,
-    core,
-    devices,
-    experiments,
-    geo,
-    netmodel,
-    netsim,
-    persist,
-    services,
-    viz,
-)
 
 __all__ = [
     "analysis",

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 def impute_median(X: np.ndarray) -> np.ndarray:
@@ -37,6 +36,9 @@ def spearman_pair(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]
     paper reports r_s = 1.00 for devices with exactly equal features, so
     that convention is applied here.
     """
+    # scipy.stats takes ~1 s to import and only §7.4 reaches this.
+    from scipy import stats as scipy_stats
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if np.allclose(a, b):

@@ -25,6 +25,7 @@ from typing import List, Optional
 from .core.cenfuzz import CenFuzz
 from .core.cenprobe import CenProbe, summarize_reports
 from .core.centrace import CenTrace, CenTraceConfig
+from .experiments.base import scale_arg
 from .geo.countries import COUNTRIES, build_world
 from .geo.drift import DriftError
 from .netsim.faults import FaultPlan
@@ -61,7 +62,7 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
         "--country", required=True, choices=sorted(COUNTRIES),
         help="study world to measure in",
     )
-    parser.add_argument("--scale", type=float, default=None)
+    parser.add_argument("--scale", type=scale_arg, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--fault-plan",
@@ -512,18 +513,27 @@ def cmd_facts_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    import importlib
+    import inspect
+
     from .experiments import ALL_EXPERIMENTS
 
-    module = ALL_EXPERIMENTS.get(args.name)
-    if module is None:
+    if args.name not in ALL_EXPERIMENTS:
         print(
             f"unknown experiment {args.name!r}; choose from: "
             + ", ".join(sorted(ALL_EXPERIMENTS)),
             file=sys.stderr,
         )
         return 2
+    module = importlib.import_module(f"{__package__}.experiments.{args.name}")
     kwargs = {}
-    if args.scale is not None and args.name not in ("table2", "sec41_pathvar", "sec63_circumvention", "fig1", "fig9"):
+    if args.scale is not None:
+        if "scale" not in inspect.signature(module.run).parameters:
+            print(
+                f"error: experiment {args.name!r} takes no --scale",
+                file=sys.stderr,
+            )
+            return 2
         kwargs["scale"] = args.scale
     result = module.run(**kwargs)
     print(result.render())
@@ -628,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     worlds = sub.add_parser("worlds", help="list the study worlds")
-    worlds.add_argument("--scale", type=float, default=None)
+    worlds.add_argument("--scale", type=scale_arg, default=None)
     worlds.add_argument("--json", action="store_true")
     worlds.set_defaults(func=cmd_worlds)
 
@@ -878,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="regenerate one paper table/figure"
     )
     experiment.add_argument("name")
-    experiment.add_argument("--scale", type=float, default=None)
+    experiment.add_argument("--scale", type=scale_arg, default=None)
     experiment.set_defaults(func=cmd_experiment)
 
     report = sub.add_parser(
@@ -886,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate EXPERIMENTS.md, or render a saved run report",
     )
     report.add_argument("--out", default="EXPERIMENTS.md")
-    report.add_argument("--scale", type=float, default=None)
+    report.add_argument("--scale", type=scale_arg, default=None)
     report.add_argument(
         "--run",
         default=None,

@@ -1,59 +1,24 @@
-"""One module per paper table/figure, plus the campaign machinery."""
+"""One module per paper table/figure, plus the campaign machinery.
 
-from . import (
-    fig1,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig9,
-    fig10_12,
-    sec41_pathvar,
-    sec43_quotes,
-    sec53_banners,
-    sec63_circumvention,
-    sec71_classify,
-    sec74_correlations,
-    table1,
-    table2,
+Nothing is imported here: ``repro experiment NAME`` imports the one
+module it runs, and a campaign never loads the figure modules.
+"""
+
+#: Names of the per-table/figure modules; each exposes ``run(...)``.
+ALL_EXPERIMENTS = (
+    "table1",
+    "table2",
+    "fig1",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig9",
+    "fig10_12",
+    "sec41_pathvar",
+    "sec43_quotes",
+    "sec53_banners",
+    "sec63_circumvention",
+    "sec71_classify",
+    "sec74_correlations",
 )
-from .base import ExperimentResult, percent
-from .campaign import (
-    CampaignConfig,
-    CountryCampaign,
-    clear_campaign_cache,
-    get_campaign,
-    run_campaign,
-)
-from .epochs import EpochResult, EpochScheduler
-
-ALL_EXPERIMENTS = {
-    "table1": table1,
-    "table2": table2,
-    "fig1": fig1,
-    "fig3": fig3,
-    "fig4": fig4,
-    "fig5": fig5,
-    "fig6": fig6,
-    "fig9": fig9,
-    "fig10_12": fig10_12,
-    "sec41_pathvar": sec41_pathvar,
-    "sec43_quotes": sec43_quotes,
-    "sec53_banners": sec53_banners,
-    "sec63_circumvention": sec63_circumvention,
-    "sec71_classify": sec71_classify,
-    "sec74_correlations": sec74_correlations,
-}
-
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "ExperimentResult",
-    "percent",
-    "CampaignConfig",
-    "CountryCampaign",
-    "clear_campaign_cache",
-    "get_campaign",
-    "run_campaign",
-    "EpochResult",
-    "EpochScheduler",
-]

@@ -8,6 +8,8 @@ the same source of truth.
 
 from __future__ import annotations
 
+import argparse
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -58,3 +60,17 @@ class ExperimentResult:
 def percent(part: int, whole: int) -> float:
     """Percentage helper tolerant of empty denominators."""
     return 100.0 * part / whole if whole else 0.0
+
+
+def scale_arg(text: str) -> float:
+    """argparse ``type`` of every ``--scale``: a finite number > 0.
+
+    NaN or infinity cannot size a world; zero or less would quietly
+    build the minimum-size one.
+    """
+    value = float(text)  # argparse reports a ValueError as a usage error
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"scale must be a finite number > 0, got {text!r}"
+        )
+    return value

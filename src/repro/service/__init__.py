@@ -16,7 +16,7 @@ end over the repo's campaign engine:
   country campaign through the queue as shuffled, duplicate-heavy
   multi-tenant requests and reassembles a
   :class:`~repro.experiments.campaign.CountryCampaign` that is
-  byte-identical to a direct :func:`~repro.experiments.run_campaign`.
+  byte-identical to a direct :func:`~repro.experiments.campaign.run_campaign`.
 * :func:`run_swarm` (``swarm.py``) — the synthetic client swarm behind
   ``repro serve`` and the CI smoke job.
 

@@ -6,7 +6,7 @@ tenants, in seeded shuffled order, duplicate-heavy, at mixed
 priorities, must reassemble into a
 :class:`~repro.experiments.campaign.CountryCampaign` that serializes
 byte-identically to a direct serial
-:func:`~repro.experiments.run_campaign` — the golden digests in
+:func:`~repro.experiments.campaign.run_campaign` — the golden digests in
 ``tests/experiments/test_golden_digest.py`` check exactly that.
 
 CenProbe stays serial in the caller (as in ``run_campaign``): it reads

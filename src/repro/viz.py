@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from .core.centrace.results import CenTraceResult
 from .geo.asdb import ASDatabase
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def build_path_graph(
@@ -30,6 +31,9 @@ def build_path_graph(
     measurements found blocking on that link; ``traces`` counts
     traversals.
     """
+    # networkx pulls in scipy; only the figure paths draw graphs.
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_node(client_label, kind="client")
     for result in results:

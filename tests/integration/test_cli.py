@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestWorlds:
@@ -372,6 +372,71 @@ class TestExperiment:
 
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "nope"]) == 2
+
+    def test_scale_reaches_an_experiment_that_takes_it(self, monkeypatch, capsys):
+        from repro.experiments import fig9
+        from repro.experiments.base import ExperimentResult
+
+        calls = []
+
+        def run(*, scale: float = 1.0, seed=None):
+            calls.append({"scale": scale, "seed": seed})
+            return ExperimentResult("fig9", "stub")
+
+        monkeypatch.setattr(fig9, "run", run)
+        assert main(["experiment", "fig9", "--scale", "0.3"]) == 0
+        assert calls == [{"scale": 0.3, "seed": None}]
+
+    def test_scale_on_an_experiment_without_one_exits_two(self, capsys):
+        assert main(["experiment", "table2", "--scale", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: experiment 'table2' takes no --scale"
+        ]
+        assert "Traceback" not in err
+
+
+class TestScaleOption:
+    """Every --scale shares one type: a finite number > 0."""
+
+    COMMANDS = {
+        "worlds": ["worlds"],
+        "world-args": ["campaign", "--country", "AZ"],
+        "experiment": ["experiment", "table1"],
+        "report": ["report"],
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_rejects_non_finite_or_non_positive(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(self.COMMANDS[command] + ["--scale", value])
+        assert exc.value.code == 2
+        assert "scale must be a finite number > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_report_module_rejects(self, value, monkeypatch, capsys):
+        from repro.experiments import report
+
+        monkeypatch.setattr(
+            report, "generate", lambda **_: pytest.fail("bad --scale accepted")
+        )
+        with pytest.raises(SystemExit) as exc:
+            report.main(["--scale", value, "--out", os.devnull])
+        assert exc.value.code == 2
+
+    def test_worlds_nan_is_one_usage_error_not_a_traceback(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "worlds", "--scale", "nan"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "argument --scale: scale must be a finite number > 0" in proc.stderr
 
 
 class TestResidual:

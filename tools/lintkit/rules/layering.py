@@ -91,8 +91,9 @@ LAYER_DEPS: Dict[str, Set[str]] = {
         "telemetry",
     },
     "cli": {"*"},
-    # The package root re-exports the public API.
-    "<root>": {"*"},
+    # The package root imports nothing, so `import repro` stays cheap
+    # (DESIGN.md, "Import surface").
+    "<root>": set(),
 }
 
 #: No layer may import these, ever (entry points only).
