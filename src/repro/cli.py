@@ -25,7 +25,7 @@ from typing import List, Optional
 from .core.cenfuzz import CenFuzz
 from .core.cenprobe import CenProbe, summarize_reports
 from .core.centrace import CenTrace, CenTraceConfig
-from .experiments.base import scale_arg
+from .experiments.base import fraction_arg, positive_int_arg, scale_arg
 from .geo.countries import COUNTRIES, build_world
 from .geo.drift import DriftError
 from .netsim.faults import FaultPlan
@@ -76,6 +76,19 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _unreachable_endpoint(world, client, endpoint_ip: Optional[str]) -> bool:
+    """Report, and return True, when ``--endpoint`` names no endpoint
+    ``client`` has a route to in ``world``."""
+    if endpoint_ip is None or world.topology.has_route(client.ip, endpoint_ip):
+        return False
+    print(
+        f"error: --endpoint {endpoint_ip} is not an endpoint reachable "
+        f"from {client.ip} in the {world.name} world",
+        file=sys.stderr,
+    )
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -115,6 +128,8 @@ def cmd_centrace(args: argparse.Namespace) -> int:
         if args.in_country and world.in_country_client
         else world.remote_client
     )
+    if _unreachable_endpoint(world, client, args.endpoint):
+        return 2
     tracer = CenTrace(
         world.sim,
         client,
@@ -155,6 +170,8 @@ def cmd_cenfuzz(args: argparse.Namespace) -> int:
         if args.in_country and world.in_country_client
         else world.remote_client
     )
+    if _unreachable_endpoint(world, client, args.endpoint):
+        return 2
     fuzzer = CenFuzz(world.sim, client)
     endpoint_ip = args.endpoint or world.endpoints[0].ip
     domain = args.domain or world.test_domains[0]
@@ -205,6 +222,8 @@ def cmd_residual(args: argparse.Namespace) -> int:
     from .core.centrace.residual import ResidualProbe
 
     world = _world(args.country, args.scale, args.seed, args.fault_plan)
+    if _unreachable_endpoint(world, world.remote_client, args.endpoint):
+        return 2
     probe = ResidualProbe(world.sim, world.remote_client)
     endpoint_ip = args.endpoint or world.endpoints[0].ip
     domain = args.domain or world.test_domains[0]
@@ -650,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     centrace.add_argument("--endpoint", help="specific endpoint IP")
     centrace.add_argument("--max-endpoints", type=int, default=5)
-    centrace.add_argument("--repetitions", type=int, default=3)
+    centrace.add_argument("--repetitions", type=positive_int_arg, default=3)
     centrace.add_argument("--in-country", action="store_true")
     centrace.set_defaults(func=cmd_centrace)
 
@@ -685,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser("campaign", help="full campaign (+ save raw data)")
     _add_world_args(campaign)
-    campaign.add_argument("--repetitions", type=int, default=3)
+    campaign.add_argument("--repetitions", type=positive_int_arg, default=3)
     campaign.add_argument("--fuzz-all", action="store_true")
     campaign.add_argument(
         "--workers",
@@ -718,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="request shuffle seed (must not affect delivered bytes)",
     )
-    serve.add_argument("--repetitions", type=int, default=2)
+    serve.add_argument("--repetitions", type=positive_int_arg, default=2)
     serve.add_argument("--max-endpoints", type=int, default=4)
     serve.add_argument(
         "--rate",
@@ -775,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
     epochs.add_argument(
         "--out", required=True, help="observatory output directory"
     )
-    epochs.add_argument("--repetitions", type=int, default=2)
+    epochs.add_argument("--repetitions", type=positive_int_arg, default=2)
     epochs.add_argument("--max-endpoints", type=int, default=4)
     epochs.add_argument("--fuzz-max-endpoints", type=int, default=2)
     epochs.add_argument("--workers", type=int, default=None)
@@ -799,10 +818,11 @@ def build_parser() -> argparse.ArgumentParser:
         "churn tomography vs path-inconsistency) against ground truth",
     )
     localize.add_argument(
-        "--rounds", type=int, default=6, help="churn rounds of evidence"
+        "--rounds", type=positive_int_arg, default=6,
+        help="churn rounds of evidence",
     )
     localize.add_argument(
-        "--probes-per-round", type=int, default=4,
+        "--probes-per-round", type=positive_int_arg, default=4,
         help="outcome probes per endpoint per round",
     )
     localize.add_argument("--seed", type=int, default=None)
@@ -827,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="collect telemetry and print localize.* counters",
     )
     localize.add_argument(
-        "--min-accuracy", type=float, default=None,
+        "--min-accuracy", type=fraction_arg, default=None,
         help="fail unless tomography accuracy reaches this fraction",
     )
     localize.add_argument(

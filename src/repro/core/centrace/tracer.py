@@ -69,6 +69,18 @@ class CenTraceConfig:
     tls_port: int = 443
     extra_probes_past_terminating: int = 2
 
+    def __post_init__(self) -> None:
+        # A run with no repetitions or TTLs sends nothing and would
+        # classify every endpoint as reachable and unblocked.
+        if self.repetitions < 1:
+            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.max_ttl < 1:
+            raise ValueError(f"max_ttl must be >= 1, got {self.max_ttl}")
+        if self.probe_retries < 0:
+            raise ValueError(
+                f"probe_retries must be >= 0, got {self.probe_retries}"
+            )
+
 
 @lru_cache(maxsize=1024)
 def build_probe_payload(domain: str, protocol: str) -> bytes:

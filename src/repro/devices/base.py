@@ -7,7 +7,8 @@ attached to a link in a path. On every forward packet it:
 2. ignores packets without an application payload (handshakes pass);
 3. runs its vendor-specific HTTP/TLS parsing engine (``quirks``) over
    the payload to extract a hostname/SNI — a parse failure means the
-   probe *evaded* inspection;
+   probe *evaded* inspection. Each distinct payload is parsed and
+   matched once per work unit; repeats reuse the cached outcome;
 4. matches the extracted hostname against its blocklist; on a match it
    executes its configured action (drop / RST / FIN / blockpage) and
    starts the residual timer.
@@ -18,10 +19,11 @@ only see a copy and can inject but not drop).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..netmodel.http import looks_like_http_request
+from ..netmodel.ip import FlowKey
 from ..netmodel.packet import Packet
 from ..netmodel.tls import looks_like_client_hello
 from ..netsim.interfaces import (
@@ -44,12 +46,15 @@ from .quirks import (
     extract_tls_sni,
     path_matches,
 )
-from .rules import PROTO_DNS, PROTO_HTTP, PROTO_TLS, Blocklist
+from .rules import PROTO_DNS, PROTO_HTTP, PROTO_TLS, Blocklist, BlockRule
 from .state import (
     RESIDUAL_OFF,
     FlowInjectionCounter,
     ResidualTracker,
 )
+
+# What one engine makes of one TCP payload: (evaded, protocol, rule).
+_Outcome = Tuple[bool, Optional[str], Optional[BlockRule]]
 
 
 @dataclass
@@ -97,39 +102,84 @@ class CensorshipDevice(LinkDevice):
         self.residual = ResidualTracker(mode=residual_mode, duration=residual_duration)
         self.injections = FlowInjectionCounter(limit=injection_limit)
         self.stats = DeviceStats()
+        # payload bytes -> _classify(payload), valid for the quirks and
+        # blocklist recorded beside it (both frozen: only rebinding
+        # changes them). reset_state() empties it once per work unit,
+        # which bounds it by one unit's payloads.
+        self._parsed: Dict[bytes, _Outcome] = {}
+        self._parsed_quirks = quirks
+        self._parsed_blocklist = blocklist
 
     # ------------------------------------------------------------------
 
     def reset_state(self) -> None:
-        """Forget all per-flow state (residual timers, injection counts).
+        """Forget all per-flow state (residual timers, injection counts)
+        and every cached payload parse.
 
         Ground-truth ``stats`` counters keep accumulating: they never
         influence measurement results, only tests and world validation.
         """
-        self.residual._entries.clear()
-        self.injections._counts.clear()
+        self.residual.clear()
+        self.injections.clear()
+        self._parsed.clear()
 
     # ------------------------------------------------------------------
 
     def inspect(self, packet: Packet, ctx: InspectionContext) -> Verdict:
         if packet.injected:
             return Verdict.pass_through()
-        if packet.udp is not None:
-            return self._inspect_dns(packet, ctx)
-        if packet.tcp is None:
+        tcp = packet.tcp
+        if tcp is None:
+            if packet.udp is not None:
+                return self._inspect_dns(packet, ctx)
             return Verdict.pass_through()
         if ctx.direction != DIRECTION_FORWARD and not self.bidirectional:
             return Verdict.pass_through()
-        flow = packet.flow_key()
         # Residual censorship applies to *every* packet of a punished
         # tuple, including fresh SYNs for the control domain.
-        if self.residual.is_punished(flow, ctx.clock):
-            self.stats.residual_hits += 1
-            return self._execute(packet, ctx, note="residual")
-        payload = packet.tcp.payload
+        flow = None
+        if self.residual.holds_entries():
+            flow = packet.flow_key()
+            if self.residual.is_punished(flow, ctx.clock):
+                self.stats.residual_hits += 1
+                return self._execute(packet, ctx, "residual", flow)
+        payload = tcp.payload
         if not payload:
             return Verdict.pass_through()
         self.stats.inspected += 1
+        if (
+            self._parsed_quirks is not self.quirks
+            or self._parsed_blocklist is not self.blocklist
+        ):
+            self._parsed.clear()
+            self._parsed_quirks = self.quirks
+            self._parsed_blocklist = self.blocklist
+        outcome = self._parsed.get(payload)
+        if outcome is None:
+            outcome = self._parsed[payload] = self._classify(payload)
+        evaded, protocol, rule = outcome
+        if rule is None:
+            if evaded:
+                self.stats.evaded += 1
+            return Verdict.pass_through()
+        self.stats.triggered += 1
+        if flow is None:
+            flow = packet.flow_key()
+        self.residual.punish(flow, ctx.clock)
+        action = self.action_tls if protocol == PROTO_TLS else self.action
+        return self._execute(
+            packet, ctx, f"triggered:{rule.domain}", flow, action=action
+        )
+
+    def _classify(self, payload: bytes) -> _Outcome:
+        """``(evaded, protocol, rule)``: this engine's reading of a TCP
+        payload.
+
+        ``rule`` is the blocklist rule the payload triggers, or None.
+        ``evaded`` is True when the engine could not extract a hostname,
+        or the request path falls outside a URL-scoped rule. The result
+        depends only on the payload, ``quirks`` and ``blocklist``.
+        """
         hostname = None
         path = None
         protocol = None
@@ -140,20 +190,13 @@ class CensorshipDevice(LinkDevice):
             protocol = PROTO_HTTP
             hostname, path = extract_http_host(payload, self.quirks)
         if hostname is None or protocol is None:
-            self.stats.evaded += 1
-            return Verdict.pass_through()
+            return True, protocol, None
         rule = self.blocklist.match(hostname, protocol)
         if rule is None:
-            return Verdict.pass_through()
+            return False, protocol, None
         if protocol == PROTO_HTTP and not path_matches(path, rule.paths, self.quirks):
-            self.stats.evaded += 1
-            return Verdict.pass_through()
-        self.stats.triggered += 1
-        self.residual.punish(flow, ctx.clock)
-        action = self.action_tls if protocol == PROTO_TLS else self.action
-        return self._execute(
-            packet, ctx, note=f"triggered:{rule.domain}", action=action
-        )
+            return True, protocol, None
+        return False, protocol, rule
 
     # ------------------------------------------------------------------
 
@@ -173,45 +216,48 @@ class CensorshipDevice(LinkDevice):
         if rule is None:
             return Verdict.pass_through()
         self.stats.triggered += 1
-        verdict = Verdict(note=f"{self.name}:dns:{rule.domain}")
-        verdict.inject_to_client = build_dns_injections(
+        to_client = build_dns_injections(
             self.action_dns, packet, ctx.remaining_ttl, self.name, net=ctx.net
         )
-        if self.in_path and self.action_dns.drop_query:
-            verdict.drop = True
-        return verdict
+        return Verdict(
+            drop=self.in_path and self.action_dns.drop_query,
+            inject_to_client=tuple(to_client),
+            note=f"{self.name}:dns:{rule.domain}",
+        )
 
     def _execute(
         self,
         packet: Packet,
         ctx: InspectionContext,
         note: str,
+        flow: FlowKey,
         action: Optional[BlockAction] = None,
     ) -> Verdict:
-        verdict = Verdict(note=f"{self.name}:{note}")
+        note = f"{self.name}:{note}"
         if action is None:
             action = self.action
         if action.kind == KIND_DROP:
-            verdict.drop = self.in_path
-            return verdict
-        flow = packet.flow_key()
-        if packet.tcp.payload and self.injections.may_inject(flow):
-            to_client, to_server = build_injections(
-                action, packet, ctx.remaining_ttl, self.name, net=ctx.net
-            )
-            verdict.inject_to_client = to_client
-            verdict.inject_to_server = to_server
-            self.injections.record(flow)
-        elif not packet.tcp.payload:
+            return Verdict(drop=self.in_path, note=note)
+        drop = self.in_path and action.drop_original
+        if not packet.tcp.payload:
             # Residual handling of handshake packets: injecting devices
             # reset them; the client sees the connection refused.
-            to_client, to_server = build_injections(
+            to_client, _ = build_injections(
                 action, packet, ctx.remaining_ttl, self.name, net=ctx.net
             )
-            verdict.inject_to_client = to_client
-        if self.in_path and action.drop_original:
-            verdict.drop = True
-        return verdict
+            return Verdict(drop=drop, inject_to_client=tuple(to_client), note=note)
+        if not self.injections.may_inject(flow):
+            return Verdict(drop=drop, note=note)
+        to_client, to_server = build_injections(
+            action, packet, ctx.remaining_ttl, self.name, net=ctx.net
+        )
+        self.injections.record(flow)
+        return Verdict(
+            drop=drop,
+            inject_to_client=tuple(to_client),
+            inject_to_server=tuple(to_server),
+            note=note,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

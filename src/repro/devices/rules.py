@@ -15,7 +15,7 @@ here reproduce exactly those observable differences:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 KIND_EXACT = "exact"
@@ -93,14 +93,19 @@ class BlockRule:
         return protocol in self.protocols
 
 
-@dataclass
+@dataclass(frozen=True)
 class Blocklist:
-    """The ordered rule set of one device deployment."""
+    """The ordered rule set of one device deployment.
 
-    rules: List[BlockRule] = field(default_factory=list)
+    Frozen: a deployment that changes its rules gets a new blocklist
+    (``geo.drift`` rebinds ``device.blocklist``), which is what lets a
+    device trust a parse cached against the blocklist it matched.
+    """
 
-    def add(self, rule: BlockRule) -> None:
-        self.rules.append(rule)
+    rules: Tuple[BlockRule, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rules", tuple(self.rules))
 
     def match(self, hostname: Optional[str], protocol: str) -> Optional[BlockRule]:
         """First rule triggered by ``hostname`` on ``protocol`` (or None)."""
@@ -122,8 +127,8 @@ class Blocklist:
         protocols: Sequence[str] = (PROTO_HTTP, PROTO_TLS),
     ) -> "Blocklist":
         return cls(
-            rules=[
+            rules=tuple(
                 BlockRule(domain=d, kind=kind, protocols=tuple(protocols))
                 for d in domains
-            ]
+            )
         )

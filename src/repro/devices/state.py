@@ -56,6 +56,14 @@ class ResidualTracker:
     def active_count(self, clock: float) -> int:
         return sum(1 for expiry in self._entries.values() if expiry > clock)
 
+    def holds_entries(self) -> bool:
+        """Could any tuple be punished? False means :meth:`is_punished`
+        answers False for every flow, so callers may skip building one."""
+        return bool(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
 
 @dataclass
 class FlowInjectionCounter:
@@ -77,3 +85,6 @@ class FlowInjectionCounter:
 
     def reset_flow(self, flow: FlowKey) -> None:
         self._counts.pop(flow.canonical(), None)
+
+    def clear(self) -> None:
+        self._counts.clear()

@@ -74,3 +74,31 @@ def scale_arg(text: str) -> float:
             f"scale must be a finite number > 0, got {text!r}"
         )
     return value
+
+
+def positive_int_arg(text: str) -> int:
+    """argparse ``type`` of every count that must be at least one
+    (``--repetitions``, ``--rounds``, ``--probes-per-round``).
+
+    Zero or a negative count would run on no evidence and still report
+    a clean result.
+    """
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}"
+        )
+    return value
+
+
+def fraction_arg(text: str) -> float:
+    """argparse ``type`` of a threshold on a fraction: a number in [0, 1].
+
+    A threshold above one could never be met; NaN would never fail.
+    """
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a fraction in [0, 1], got {text!r}"
+        )
+    return value

@@ -196,10 +196,6 @@ class Toolset:
         )
 
 
-#: Backwards-compatible private alias (pre-service-layer name).
-_Toolset = Toolset
-
-
 # -- per-unit telemetry ------------------------------------------------------
 
 

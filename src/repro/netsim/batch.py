@@ -19,8 +19,10 @@ observable behaviour *exactly*:
   tight in-order loops (one draw per link crossed, exactly the scalar
   draw order), so the RNG stream stays bit-identical. Full
   :class:`~repro.netmodel.packet.Packet` clones are materialized
-  lazily — only when a device inspects the packet or a header rewrite
-  / TTL field actually has to differ from the caller's packet.
+  lazily — only when a router's header rewrite (or the arrival TTL)
+  makes the in-flight packet differ from the caller's. Devices inspect
+  the caller's packet itself unless a rewrite precedes them
+  (:meth:`~repro.netsim.interfaces.LinkDevice.inspect` is read-only).
 * :meth:`BatchEngine.run_udp_ladder` batches a whole TTL ladder of
   independent single-packet probes as parallel arrays (TTLs, source
   ports, IP IDs, loss fates), materializing a packet only for probes
@@ -405,11 +407,21 @@ class BatchEngine:
                                 tel.count("sim.packets_lost")
                             return
                     cursor = dev_hop + 1
-                if walk_pkt is None:
+                if walk_pkt is None and (
+                    plan.rewrites and plan.rewrites[0][0] < dev_hop
+                ):
+                    # A router upstream rewrites the header: devices from
+                    # here on must see the rewritten copy. Otherwise they
+                    # read the caller's packet (LinkDevice.inspect is
+                    # read-only).
                     walk_pkt = sim._clone(packet)
-                rewrite_pos = self._apply_rewrites(
-                    plan, walk_pkt, rewrite_pos, dev_hop
-                )
+                if walk_pkt is not None:
+                    rewrite_pos = self._apply_rewrites(
+                        plan, walk_pkt, rewrite_pos, dev_hop
+                    )
+                    inspected = walk_pkt
+                else:
+                    inspected = packet
                 remaining = start_ttl - plan.routers_before[dev_hop]
                 for device in devices:
                     if flaky:
@@ -427,7 +439,7 @@ class BatchEngine:
                         direction=DIRECTION_FORWARD,
                         net=sim.net_context,
                     )
-                    verdict = device.inspect(walk_pkt, ctx)
+                    verdict = device.inspect(inspected, ctx)
                     if tel_on:
                         tel.count("sim.device_inspections")
                         if verdict.acted:
@@ -517,8 +529,8 @@ class BatchEngine:
         if tel.enabled:
             tel.count("sim.icmp_generated")
         if walk_pkt is not None:
-            # A device saw (and may have annotated) the in-flight copy:
-            # finish its rewrites and serialize it, like the scalar walk.
+            # Rewrites already materialized the in-flight copy for a
+            # device: finish its rewrites and serialize it.
             self._apply_rewrites(plan, walk_pkt, rewrite_pos, hop)
             walk_pkt.ip = walk_pkt.ip.copy(ttl=1)
             quoted = walk_pkt.to_bytes()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..netmodel.netctx import NetContext
 from ..netmodel.packet import Packet
@@ -36,7 +36,7 @@ class InspectionContext:
     net: Optional[NetContext] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     """The action a device takes on a packet.
 
@@ -44,28 +44,35 @@ class Verdict:
     packets; the simulator walks them to their destinations with normal
     TTL decrementing (so TTL-copying injections can die en route, which
     is what produces the paper's "Past E" observations).
+
+    Frozen with tuple fields, so every inspection that lets a packet by
+    can share the one :meth:`pass_through` instance.
     """
 
     drop: bool = False
-    inject_to_client: List[Packet] = field(default_factory=list)
-    inject_to_server: List[Packet] = field(default_factory=list)
+    inject_to_client: Tuple[Packet, ...] = ()
+    inject_to_server: Tuple[Packet, ...] = ()
     note: str = ""  # ground-truth annotation for tests/debugging
 
     @property
     def acted(self) -> bool:
         return bool(self.drop or self.inject_to_client or self.inject_to_server)
 
-    @classmethod
-    def pass_through(cls) -> "Verdict":
-        return cls()
+    @staticmethod
+    def pass_through() -> "Verdict":
+        """The shared verdict of a device that lets the packet by."""
+        return _PASS_THROUGH
+
+
+_PASS_THROUGH = Verdict()
 
 
 class LinkDevice(abc.ABC):
     """A middlebox attached to a link.
 
-    ``in_path`` devices sit in the link: they may drop or modify traffic
-    at line rate. On-path devices receive a *copy* of each packet: they
-    may inject but their ``drop`` verdicts are ignored by the simulator.
+    ``in_path`` devices sit in the link: they may drop traffic at line
+    rate. On-path devices receive a *copy* of each packet: they may
+    inject but their ``drop`` verdicts are ignored by the simulator.
     """
 
     name: str = "device"
@@ -73,7 +80,16 @@ class LinkDevice(abc.ABC):
 
     @abc.abstractmethod
     def inspect(self, packet: Packet, ctx: InspectionContext) -> Verdict:
-        """Observe ``packet``; return the device's action."""
+        """Observe ``packet``; return the device's action.
+
+        ``packet`` is read-only. The batched walk hands a device the
+        caller's own packet whenever no router rewrote its header
+        first, so a device must not assign to the packet or its
+        headers, and must not keep a reference to it after returning.
+        Everything a device does to traffic goes through the returned
+        verdict. ``packet.ip.ttl`` is the TTL the client sent; the TTL
+        left at this link is ``ctx.remaining_ttl``.
+        """
 
 
 @dataclass

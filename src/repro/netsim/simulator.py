@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..netmodel import tcp as tcpmod
 from ..netmodel.icmp import time_exceeded
-from ..netmodel.ip import FlowKey
+from ..netmodel.ip import FlowKey, IPHeader
 from ..netmodel.netctx import NetContext, default_context
 from ..netmodel.packet import Packet, icmp_packet
 from ..telemetry import NULL_TELEMETRY
@@ -721,26 +721,35 @@ class EndpointStack:
         self.open_ports = set(endpoint.services)
         if endpoint.server is not None:
             self.open_ports.update((80, 443))
-        # canonical flow tuple -> (state, next_expected_client_seq)
-        self.flows: Dict[Tuple, str] = {}
+        # (client ip, client port, endpoint port) -> connection state;
+        # the endpoint's own address is implied.
+        self.flows: Dict[Tuple[str, int, int], str] = {}
 
     def receive(self, packet: Packet, clock: float) -> List[Packet]:
         if packet.tcp is None:
             return []
         segment = packet.tcp
-        if packet.ip.dst != self.endpoint.ip:
+        ip = packet.ip
+        if ip.dst != self.endpoint.ip:
             return []
-        flow = packet.flow_key().canonical()
+        flow = (ip.src, segment.sport, segment.dport)
         responses: List[Packet] = []
 
         def reply(flags: int, payload: bytes = b"", seq: int = 0, ack: int = 0) -> Packet:
             reply_packet = Packet(
-                ip=packet.ip.copy(
-                    src=self.endpoint.ip,
-                    dst=packet.ip.src,
-                    ttl=64,
-                    tos=0,
-                    identification=self.net.next_ip_id(),
+                # Positional (field order): keyword matching costs more
+                # than the rest of the construction on this hot path.
+                ip=IPHeader(
+                    self.endpoint.ip,  # src
+                    ip.src,  # dst
+                    64,  # ttl
+                    ip.protocol,
+                    0,  # tos
+                    self.net.next_ip_id(),  # identification
+                    ip.flags,
+                    ip.frag_offset,
+                    ip.total_length,
+                    ip.checksum,
                 ),
                 tcp=tcpmod.TCPSegment(
                     sport=segment.dport,
@@ -791,7 +800,7 @@ class EndpointStack:
             server = self.endpoint.server
             if server is None:
                 return [reply(tcpmod.RST, seq=segment.ack)]
-            app = server.handle_payload(segment.payload, packet.ip.src)
+            app = server.handle_payload(segment.payload, ip.src)
             if app.drop:
                 return []
             if app.reset:

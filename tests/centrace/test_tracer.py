@@ -213,3 +213,17 @@ class TestRobustness:
         # is None — verify the tracer handles that gracefully.)
         result = _tracer(world).measure(ENDPOINT_IP, BLOCKED_DOMAIN, PROTO_HTTP)
         assert result.blocking_hop.asn is None
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("repetitions", 0), ("repetitions", -3), ("max_ttl", 0),
+         ("probe_retries", -1)],
+    )
+    def test_rejects_counts_that_send_nothing(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CenTraceConfig(**{field: value})
+
+    def test_smallest_valid_config(self):
+        CenTraceConfig(repetitions=1, max_ttl=1, probe_retries=0)

@@ -1,5 +1,8 @@
 """The assembled censorship device: trigger logic end to end."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
 from repro.devices.actions import BlockAction, KIND_DROP, KIND_RST
@@ -7,11 +10,13 @@ from repro.devices.base import CensorshipDevice
 from repro.devices.quirks import ParserQuirks
 from repro.devices.rules import Blocklist
 from repro.devices.state import RESIDUAL_3TUPLE
+from repro.devices.vendors import ALL_PROFILES, KZ_STATE, make_device
+from repro.geo.drift import DriftOp, DriftPlan, apply_drift
 from repro.netmodel import tcp as tcpmod
 from repro.netmodel.http import HTTPRequest
 from repro.netmodel.packet import tcp_packet
 from repro.netmodel.tls import ClientHello
-from repro.netsim.interfaces import DIRECTION_FORWARD, InspectionContext
+from repro.netsim.interfaces import DIRECTION_FORWARD, InspectionContext, Verdict
 
 BLOCKED = "www.blocked.example"
 OK = "www.ok.example"
@@ -161,3 +166,91 @@ class TestDirectionality:
             clock=0, remaining_ttl=9, link_index=1, direction=DIRECTION_REVERSE
         )
         assert not device.inspect(_http(BLOCKED), ctx).acted
+
+
+class TestParseMemo:
+    """Each payload is parsed once per unit; outcomes never go stale."""
+
+    def test_reset_state_empties_the_memo(self):
+        device = _device()
+        device.inspect(_http(BLOCKED), _ctx())
+        device.inspect(_http(OK), _ctx())
+        assert len(device._parsed) == 2
+        device.reset_state()
+        assert device._parsed == {}
+
+    def test_rules_drift_reaches_an_already_seen_payload(self):
+        device = _device()
+        world = SimpleNamespace(name="memo", devices=[device])
+        blocked, ok = _http(BLOCKED), _http(OK)
+        assert device.inspect(blocked, _ctx()).drop
+        assert not device.inspect(ok, _ctx()).acted
+        plan = DriftPlan(ops=(
+            DriftOp(epoch=1, kind="rules", target="dev",
+                    remove_domains=(BLOCKED,), add_domains=(OK,)),
+        ))
+        apply_drift(world, plan, epoch=1)
+        assert not device.inspect(blocked, _ctx()).acted
+        assert device.inspect(ok, _ctx()).drop
+
+    def test_firmware_drift_reaches_an_already_seen_payload(self):
+        device = _device()
+        world = SimpleNamespace(name="memo", devices=[device])
+        packet = _http(BLOCKED)
+        first = device.inspect(packet, _ctx())
+        assert first.drop and not first.inject_to_client
+        plan = DriftPlan(ops=(
+            DriftOp(epoch=1, kind="firmware", target="dev", action_kind="rst"),
+        ))
+        apply_drift(world, plan, epoch=1)
+        assert device.inspect(packet, _ctx()).inject_to_client
+
+    def test_repeated_payloads_count_like_first_parses(self):
+        payloads = [
+            _http(BLOCKED),
+            _http(OK),
+            _http(BLOCKED, method="XXXX"),  # evades the parser
+            _http(BLOCKED, path="/other"),  # evades the URL-scoped rule
+            _tls(BLOCKED),
+            _tls(OK),
+        ]
+        sequence = payloads * 3 + payloads[::-1]
+        memoized = make_device(KZ_STATE, "dev", [BLOCKED], url_scope=True)
+        fresh = make_device(KZ_STATE, "dev", [BLOCKED], url_scope=True)
+        for i, packet in enumerate(sequence):
+            fresh._parsed.clear()  # parse every payload as if first seen
+            ctx = _ctx(clock=1000.0 * i)  # past any residual window
+            got = memoized.inspect(packet, ctx)
+            want = fresh.inspect(packet, ctx)
+            assert (got.drop, got.note, len(got.inject_to_client)) == (
+                want.drop, want.note, len(want.inject_to_client)
+            )
+        assert memoized.stats == fresh.stats
+        assert memoized.stats.inspected == len(sequence)
+        assert memoized.stats.evaded == 2 * 4
+        assert len(memoized._parsed) == len(payloads)
+
+
+class TestReadOnlyInspection:
+    def test_pass_through_is_shared_and_frozen(self):
+        verdict = Verdict.pass_through()
+        assert Verdict.pass_through() is verdict
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verdict.drop = True
+        with pytest.raises(AttributeError):
+            verdict.inject_to_client.append(None)
+        assert not verdict.acted
+
+    @pytest.mark.parametrize("profile_name", sorted(ALL_PROFILES))
+    def test_inspect_leaves_the_packet_untouched(self, profile_name):
+        device = make_device(ALL_PROFILES[profile_name], "dev", [BLOCKED])
+        syn = tcp_packet("10.0.0.1", "10.0.0.2", 40000, 80, flags=tcpmod.SYN)
+        # Trigger first so residual-mode devices also act on the SYN.
+        for packet in (_http(BLOCKED), _tls(BLOCKED), syn, _http(OK)):
+            wire = packet.to_bytes()
+            header = packet.ip
+            fields = dataclasses.astuple(header)
+            device.inspect(packet, _ctx(clock=1.0))
+            assert packet.ip is header
+            assert dataclasses.astuple(packet.ip) == fields
+            assert packet.to_bytes() == wire

@@ -520,16 +520,105 @@ class TestLocalize:
         assert "ttl" not in report["methods"]
 
     def test_impossible_accuracy_gate_fails(self, capsys):
-        # The inconsistency/TTL methods never reach 101%; neither can
-        # tomography — the gate must trip, not be clamped.
+        # No method can reach 101%: the gate is refused as a usage error
+        # before anything runs, never clamped to a reachable value.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "localize", "--placements", self.SUBSET, "--no-ttl",
+                "--min-accuracy", "1.01",
+            ])
+        assert exc.value.code == 2
+        assert len(_error_lines(capsys.readouterr().err)) == 1
+
+    def test_unmet_accuracy_gate_fails(self, capsys):
+        # With zero tolerance only exact placements count: tomography
+        # places one of the two subset devices exactly (accuracy 0.5).
         code = main([
             "localize", "--placements", self.SUBSET, "--no-ttl",
-            "--min-accuracy", "1.01",
+            "--tolerance", "0", "--min-accuracy", "1",
         ])
         assert code == 1
-        assert "FAIL" in capsys.readouterr().err
+        assert "FAIL: tomography accuracy 50.0%" in capsys.readouterr().err
 
     def test_unknown_placement_rejected(self, capsys):
         code = main(["localize", "--placements", "nope"])
         assert code == 2
         assert "unknown placement" in capsys.readouterr().err
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+class TestCountOptions:
+    """Counts share one positive-int type; --min-accuracy is a fraction."""
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["centrace", "--country", "KZ"],
+            ["campaign", "--country", "KZ"],
+            ["serve", "--country", "AZ"],
+            ["epochs", "--country", "KZ", "--out", os.devnull],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_repetitions_below_one_rejected(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + ["--repetitions", value])
+        assert exc.value.code == 2
+        assert _error_lines(capsys.readouterr().err) == [
+            f"repro {command[0]}: error: argument --repetitions: "
+            f"must be an integer >= 1, got '{value}'"
+        ]
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_rounds_below_one_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["localize", "--rounds", value])
+        assert exc.value.code == 2
+        assert len(_error_lines(capsys.readouterr().err)) == 1
+
+    def test_probes_per_round_below_one_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["localize", "--probes-per-round", "0"])
+        assert exc.value.code == 2
+        assert len(_error_lines(capsys.readouterr().err)) == 1
+
+    @pytest.mark.parametrize("value", ["2", "-0.1", "nan"])
+    def test_min_accuracy_outside_unit_interval_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["localize", "--min-accuracy", value])
+        assert exc.value.code == 2
+        assert _error_lines(capsys.readouterr().err) == [
+            "repro localize: error: argument --min-accuracy: "
+            f"must be a fraction in [0, 1], got '{value}'"
+        ]
+
+    def test_bounds_themselves_accepted(self):
+        args = build_parser().parse_args(
+            ["localize", "--rounds", "1", "--probes-per-round", "1",
+             "--min-accuracy", "1"]
+        )
+        assert (args.rounds, args.probes_per_round, args.min_accuracy) == (
+            1, 1, 1.0
+        )
+
+
+class TestUnknownEndpoint:
+    """An --endpoint the vantage point has no route to is a usage error."""
+
+    @pytest.mark.parametrize(
+        "command, address",
+        [("centrace", "1.2.3.4"), ("cenfuzz", "9.9.9.9"), ("residual", "nope")],
+    )
+    def test_exits_two_naming_the_address(self, command, address, capsys):
+        code = main(
+            [command, "--country", "KZ", "--scale", "0.2", "--endpoint", address]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = _error_lines(captured.err)
+        assert len(errors) == 1 and address in errors[0]

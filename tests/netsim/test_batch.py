@@ -10,10 +10,11 @@ Fault plans run on the batched plane too, so every snapshot also
 compares the fault state: the fault RNG's next draws, the ground-truth
 fault counters, the churn epoch and the ICMP token-bucket levels.
 
-The fast subset (plain / device / rewrite worlds at two loss rates,
-the fault presets on the device world, churn on ECMP, a lossy DNS
-ladder) runs in tier 1; the exhaustive world x loss grid and the
-fault-preset grid ride behind ``--runslow``.
+The fast subset (plain / device / rewrite worlds and a device beside
+rewriting routers at two loss rates, the fault presets on the device
+world, churn on ECMP, a lossy DNS ladder) runs in tier 1; the
+exhaustive world x loss grid and the fault-preset grid ride behind
+``--runslow``.
 """
 
 import dataclasses
@@ -82,6 +83,23 @@ def world_rewrite(loss_rate=0.0, seed=7):
     return world
 
 
+def world_device_rewrite(loss_rate=0.0, seed=7):
+    """Rewriting routers on both sides of the device link: the batched
+    walk clones before the device and keeps rewriting that clone."""
+    world = world_device(loss_rate=loss_rate, seed=seed)
+    world.routers[1].rewrite_tos = 0x28
+    world.routers[4].rewrite_tos = 0x10
+    return world
+
+
+def world_device_then_rewrite(loss_rate=0.0, seed=7):
+    """A rewrite only past the device: the device reads the caller's
+    packet, and expiries and deliveries beyond the rewrite clone late."""
+    world = world_device(loss_rate=loss_rate, seed=seed)
+    world.routers[4].rewrite_tos = 0x10
+    return world
+
+
 def world_silent(loss_rate=0.0, seed=7):
     return build_linear_world(
         n_routers=6, silent_routers=(1, 3), loss_rate=loss_rate, seed=seed
@@ -92,6 +110,8 @@ WORLDS = {
     "plain": world_plain,
     "device": world_device,
     "rewrite": world_rewrite,
+    "device_rewrite": world_device_rewrite,
+    "device_then_rewrite": world_device_then_rewrite,
     "silent": world_silent,
 }
 
@@ -294,7 +314,10 @@ class TestPatchedQuote:
 
 
 class TestSendParity:
-    @pytest.mark.parametrize("name", ["plain", "device", "rewrite"])
+    @pytest.mark.parametrize(
+        "name",
+        ["plain", "device", "rewrite", "device_rewrite", "device_then_rewrite"],
+    )
     @pytest.mark.parametrize("loss", [0.0, 0.2])
     def test_tcp_workflow_parity(self, name, loss):
         run_pair(WORLDS[name], loss)

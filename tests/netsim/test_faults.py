@@ -396,7 +396,7 @@ class _TemplateInjector(LinkDevice):
                 ack=packet.tcp.seq,
                 flags=tcpmod.RST,
             )
-            return Verdict(inject_to_client=[self.template], note="rst")
+            return Verdict(inject_to_client=(self.template,), note="rst")
         return Verdict.pass_through()
 
 
@@ -423,7 +423,7 @@ class _ServerPoker(LinkDevice):
                 payload=b"forged",
             )
             forged.injected = True
-            return Verdict(inject_to_server=[forged], note="poke")
+            return Verdict(inject_to_server=(forged,), note="poke")
         return Verdict.pass_through()
 
 

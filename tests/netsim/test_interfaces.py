@@ -13,8 +13,8 @@ class TestVerdict:
 
     def test_injections_are_acted(self):
         packet = tcp_packet("1.1.1.1", "2.2.2.2", 1, 2)
-        assert Verdict(inject_to_client=[packet]).acted
-        assert Verdict(inject_to_server=[packet]).acted
+        assert Verdict(inject_to_client=(packet,)).acted
+        assert Verdict(inject_to_server=(packet,)).acted
 
 
 class TestAppReply:
