@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ...netmodel.dns import DNSMessage, QTYPE_A, QTYPE_AAAA, QTYPE_TXT, query
 from ...netmodel.packet import udp_packet
 from ...netsim.simulator import Simulator
-from ...netsim.tcpstack import next_ephemeral_port
 from ...netsim.topology import Client
 
 
@@ -124,7 +123,7 @@ class DNSFuzzer:
 
     def _send(self, endpoint_ip: str, payload: bytes, ttl: int) -> List:
         net = self.sim.net_context
-        sport = next_ephemeral_port(net)
+        sport = net.next_ephemeral_port()
         packet = udp_packet(
             self.client.ip,
             endpoint_ip,

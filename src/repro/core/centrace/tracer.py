@@ -25,8 +25,9 @@ from typing import List, Optional
 
 from ...geo.asdb import ASDatabase
 from ...netmodel import tcp as tcpmod
+from ...netmodel.dns import query
 from ...netmodel.http import HTTPRequest
-from ...netmodel.packet import Packet
+from ...netmodel.packet import Packet, udp_packet
 from ...netmodel.tls import ClientHello
 from ...netsim.simulator import Simulator
 from ...netsim.tcpstack import open_connection
@@ -96,8 +97,6 @@ def build_probe_payload(domain: str, protocol: str) -> bytes:
     if protocol == PROTO_TLS:
         return ClientHello.normal(domain).build()
     if protocol == PROTO_DNS:
-        from ...netmodel.dns import query
-
         return query(domain).to_bytes()
     raise ValueError(f"unknown protocol: {protocol!r}")
 
@@ -309,10 +308,6 @@ class CenTrace:
         would make retries indistinguishable from the original on the
         wire and defeat loss modeling.
         """
-        from ...netmodel.dns import query
-        from ...netmodel.packet import udp_packet
-        from ...netsim.tcpstack import next_ephemeral_port
-
         cfg = self.config
         received = []
         sent_bytes = b""
@@ -320,7 +315,7 @@ class CenTrace:
         wait = cfg.retry_base_wait
         net = self.sim.net_context
         for attempt in range(cfg.probe_retries + 1):
-            sport = next_ephemeral_port(net)
+            sport = net.next_ephemeral_port()
             payload = query(domain, txid=(sport * 7919) & 0xFFFF).to_bytes()
             packet = udp_packet(
                 self.client.ip,

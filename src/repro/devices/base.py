@@ -4,7 +4,9 @@ A :class:`CensorshipDevice` is a :class:`~repro.netsim.interfaces.LinkDevice`
 attached to a link in a path. On every forward packet it:
 
 1. applies residual censorship if the flow's tuple is still punished;
-2. ignores packets without an application payload (handshakes pass);
+2. ignores packets without an application payload (handshakes pass;
+   :meth:`~CensorshipDevice.passes_control` answers for them without a
+   packet);
 3. runs its vendor-specific HTTP/TLS parsing engine (``quirks``) over
    the payload to extract a hostname/SNI — a parse failure means the
    probe *evaded* inspection. Each distinct payload is parsed and
@@ -170,6 +172,11 @@ class CensorshipDevice(LinkDevice):
         return self._execute(
             packet, ctx, f"triggered:{rule.domain}", flow, action=action
         )
+
+    def passes_control(self, flow: FlowKey, clock: float) -> bool:
+        # A payload-less client segment meets only the residual check in
+        # inspect(): it passes unless its tuple is still punished.
+        return not self.residual.punishes(flow, clock)
 
     def _classify(self, payload: bytes) -> _Outcome:
         """``(evaded, protocol, rule)``: this engine's reading of a TCP

@@ -53,6 +53,17 @@ class ResidualTracker:
             return False
         return True
 
+    def punishes(self, flow: FlowKey, clock: float) -> bool:
+        """:meth:`is_punished` without dropping an expired entry (the
+        next :meth:`is_punished` or :meth:`punish` of its key does)."""
+        if not self._entries:
+            return False
+        key = self._key(flow)
+        if key is None:
+            return False
+        expiry = self._entries.get(key)
+        return expiry is not None and clock < expiry
+
     def active_count(self, clock: float) -> int:
         return sum(1 for expiry in self._entries.values() if expiry > clock)
 

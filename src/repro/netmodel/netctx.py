@@ -13,9 +13,9 @@ threads it through every allocation site, and the executor's per-unit
 determinism guarantee reduces to ``world.net_context.reset()``.
 
 A process-wide default context backs the deprecated module-level
-helpers (``next_ip_id()`` with no context, ``reset_ip_ids()``, ...) so
-code that builds packets outside any simulator — tests, examples —
-keeps working during the migration. Measurement code must always draw
+helpers (``next_ip_id()`` and the packet constructors called with no
+context) so code that builds packets outside any simulator — tests,
+examples — keeps working during the migration. Measurement code must always draw
 from the simulator's own context: mixing the two streams would make a
 measurement's identifiers depend on unrelated allocations elsewhere in
 the process, exactly the coupling this class removes.

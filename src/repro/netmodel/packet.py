@@ -30,17 +30,6 @@ def next_ip_id(net: Optional[NetContext] = None) -> int:
     return (net if net is not None else default_context()).next_ip_id()
 
 
-def reset_ip_ids(start: int = 1) -> None:
-    """Deprecated shim: rewind the *default* context's IP-ID stream.
-
-    Simulated traffic now draws from the owning simulator's
-    :class:`~repro.netmodel.netctx.NetContext`; reset that instead
-    (``sim.net_context.reset()``). This shim only affects packets built
-    outside any simulator.
-    """
-    default_context().reset_ip_ids(start)
-
-
 @dataclass
 class Packet:
     """An IP packet with a TCP, UDP or ICMP payload."""

@@ -23,6 +23,17 @@ observable behaviour *exactly*:
   makes the in-flight packet differ from the caller's. Devices inspect
   the caller's packet itself unless a rewrite precedes them
   (:meth:`~repro.netsim.interfaces.LinkDevice.inspect` is read-only).
+* :meth:`BatchEngine.connect` and :meth:`BatchEngine.close` carry a
+  TCP connection's payload-less control segments — the SYN, the
+  handshake ACK and the FIN that every CenTrace probe's fresh
+  connection costs — without a packet at all. Each segment allocates
+  its IP ID, draws its loss and flaky-device fates in walk order, asks
+  every device on the walked span whether it passes the flow untouched
+  (:meth:`~repro.netsim.interfaces.LinkDevice.passes_control`), meets
+  the endpoint's TCP transition, and draws the reply's IP ID and
+  reverse walk; only the reply's flags and sequence number come back.
+  A segment some device may act on (a residually punished tuple) is
+  built and walked by the per-send path instead.
 * :meth:`BatchEngine.run_udp_ladder` batches a whole TTL ladder of
   independent single-packet probes as parallel arrays (TTLs, source
   ports, IP IDs, loss fates), materializing a packet only for probes
@@ -35,14 +46,15 @@ Fault plans run on the same compiled plans, in the scalar walk's draw
 order: per-link loss profiles draw from the fault RNG against per-hop
 rates cached on the plan, flaky-device fates are rolled before each
 inspection, token-bucket ICMP suppression is checked on expiry, and
-path churn and delivery shaping wrap each send exactly as in
-``send_from_client``. Only capture mode (whose pcap-like log names every
-hop event) falls back *transparently* to the scalar engine
-(``sim.send_from_client`` / ``_run_transit``), as do injected-to-server
-continuations mid-walk. Correctness therefore never depends on batch
-coverage; the batch hit rate is visible via the
-``sim.batch_fast_path`` / ``sim.batch_scalar_fallback`` counters and
-the per-batch ``sim.batch`` size events.
+path churn and delivery shaping wrap each send — control segments
+included — exactly as in ``send_from_client``. Only capture mode (whose
+pcap-like log names every hop event) falls back *transparently* to the
+scalar engine (``sim.send_from_client`` / ``_run_transit``), as do
+injected-to-server continuations mid-walk. Correctness therefore never
+depends on batch coverage; the batch hit rate is visible via the
+``sim.batch_fast_path`` / ``sim.batch_scalar_fallback`` counters (with
+``sim.batch_control_resolved`` counting the control segments that never
+became packets) and the per-batch ``sim.batch`` size events.
 
 Like every allocator-adjacent module, this file must hold **no**
 module-level state (lintkit RP503 enforces it): plans are cached on the
@@ -54,9 +66,10 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..netmodel import tcp as tcpmod
 from ..netmodel.ip import FlowKey, IPHeader, checksum16
 from ..netmodel.icmp import time_exceeded
-from ..netmodel.packet import Packet, icmp_packet
+from ..netmodel.packet import Packet, icmp_packet, tcp_packet
 from ..netmodel.udp import UDPDatagram
 from .faults import FATE_FAIL_CLOSED, FATE_FAIL_OPEN, LossProfile
 from .interfaces import DIRECTION_FORWARD, InspectionContext, Verdict
@@ -73,6 +86,10 @@ _EXPIRE = "expire"  # TTL hits zero at a router
 _DELIVER = "deliver"  # first non-router hop is an Endpoint
 _SINK = "sink"  # first non-router hop is neither (walk ends silently)
 _TIMEOUT = "timeout"  # path is all routers and the TTL outlives them
+
+
+#: The TTL of a connection's handshake and teardown segments.
+_CONTROL_TTL = 64
 
 
 def patched_quote(wire_bytes: bytes, ttl: int) -> bytes:
@@ -169,6 +186,24 @@ class PathPlan:
         self.nodes = nodes
         self._loss_profile: Optional[LossProfile] = None
         self._loss_rates: Tuple[Tuple[float, ...], float] = ((), 0.0)
+
+    def terminal_for(self, ttl: int) -> Tuple[str, int, Optional[Router]]:
+        """``(terminal kind, last hop, expiring router)`` of a forward
+        walk sent with ``ttl``, resolved arithmetically.
+
+        The k-th router if the TTL runs out there, else the first
+        non-router hop, else the path just ends (timeout).
+        """
+        reachable = self.routers_reachable
+        if reachable and ttl <= reachable:
+            # A TTL of k expires at the k-th router; anything <= 0 dies
+            # at the first router it meets (the decrement goes negative).
+            hop, router = self.router_hops[ttl - 1 if ttl > 0 else 0]
+            return _EXPIRE, hop, router
+        if self.terminal_index is not None:
+            kind = _DELIVER if self.endpoint is not None else _SINK
+            return kind, self.terminal_index, None
+        return _TIMEOUT, self.n_hops - 1, None
 
     def loss_rates(
         self, profile: LossProfile
@@ -294,31 +329,45 @@ class BatchEngine:
         if sim._capture_enabled:
             self._note(False)
             return sim.send_from_client(packet)
+        src = packet.ip.src
+        dst = packet.ip.dst
+        route = self._route_for(src, dst)
+        flow = None
+        if len(route.paths) > 1:
+            # Same flow hashing as the scalar engine: TCP uses the real
+            # 5-tuple, everything else a degenerate per-pair key.
+            flow = (
+                packet.flow_key()
+                if packet.is_tcp
+                else FlowKey(src, dst, 0, 0, 1)
+            )
+        plan = self._enter(route, flow)
+        deliveries: List[Packet] = []
+        self._walk_forward(plan, packet, deliveries, wire_bytes)
+        return self._leave(deliveries)
+
+    def _enter(self, route, flow: Optional[FlowKey]) -> PathPlan:
+        """Start one client send: tally it, advance the clock, count it
+        toward path churn, then pick its path (``flow`` is the ECMP
+        hash key, unused on a single-path route)."""
         self._note(True)
+        sim = self.sim
         sim.clock += sim.per_packet_time
         faults = sim._faults
         path_seed = sim.seed
         if faults is not None:
             faults.note_client_packet(sim.clock)
             path_seed = faults.path_seed(sim.seed)
-        src = packet.ip.src
-        route = self._route_for(src, packet.ip.dst)
-        if len(route.paths) == 1:
-            path = route.paths[0]
-        else:
-            # Same flow hashing as the scalar engine: TCP uses the real
-            # 5-tuple, everything else a degenerate per-pair key.
-            flow = (
-                packet.flow_key()
-                if packet.is_tcp
-                else FlowKey(src, packet.ip.dst, 0, 0, 1)
-            )
-            path = route.select(flow, seed=path_seed)
-        plan = self.plan_for(path)
-        deliveries: List[Packet] = []
-        self._walk_forward(plan, packet, deliveries, wire_bytes)
-        if faults is not None:
-            deliveries = faults.shape_deliveries(deliveries, sim._clone)
+        paths = route.paths
+        if len(paths) == 1:
+            return self.plan_for(paths[0])
+        return self.plan_for(route.select(flow, seed=path_seed))
+
+    def _leave(self, deliveries: List[Packet]) -> List[Packet]:
+        """Finish one client send: shape its deliveries, count it."""
+        sim = self.sim
+        if sim._faults is not None:
+            deliveries = sim._faults.shape_deliveries(deliveries, sim._clone)
         tel = sim.telemetry
         if tel.enabled:
             tel.count("sim.client_packets")
@@ -326,18 +375,30 @@ class BatchEngine:
                 tel.count("sim.deliveries", len(deliveries))
         return deliveries
 
-    def _fault_lost(
-        self, rates: Tuple[float, ...], start: int, stop: int
+    def _forward_lost(
+        self, rates: Optional[Tuple[float, ...]], start: int, stop: int
     ) -> bool:
-        """Fault-plan loss on the links leading to hops ``start .. stop-1``.
+        """Loss on the links leading to hops ``start .. stop-1``.
 
-        ``Simulator._link_lost`` under a loss profile, in the same
-        order: every link rolled counts one ``sim.fault_loss_rolls``,
-        and only a positive rate draws from the fault RNG.
+        One draw per link in walk order: from the fault RNG at a loss
+        profile's per-hop ``rates`` (``Simulator._link_lost`` under a
+        profile: every link rolled counts one ``sim.fault_loss_rolls``,
+        and only a positive rate draws), else from the base RNG at the
+        uniform rate.
         """
         sim = self.sim
-        faults = sim._faults
         tel = sim.telemetry
+        if rates is None:
+            rate = sim.loss_rate
+            if rate > 0:
+                rnd = sim._rng.random
+                for _ in range(start, stop):
+                    if rnd() < rate:
+                        if tel.enabled:
+                            tel.count("sim.packets_lost")
+                        return True
+            return False
+        faults = sim._faults
         rnd = faults.rng.random
         for j in range(start, stop):
             rate = rates[j]
@@ -361,107 +422,69 @@ class BatchEngine:
         sim = self.sim
         tel = sim.telemetry
         tel_on = tel.enabled
-        rate = sim.loss_rate
+        rates, flaky = self._fault_walk(plan)
+        lossy = rates is not None or sim.loss_rate > 0
         faults = sim._faults
-        rates = None
-        flaky = False
-        if faults is not None:
-            if faults.per_link_loss:
-                # The profile replaces the uniform rate wholesale.
-                rates = plan.loss_rates(faults.plan.loss)[0]
-            flaky = faults.plan.flaky_devices is not None
         start_ttl = packet.ip.ttl
         client_ip = packet.ip.src
-        # Resolve the terminal hop arithmetically: the k-th router (if
-        # the TTL runs out), else the first non-router hop, else the
-        # path just ends (timeout).
-        terminal_router: Optional[Router] = None
-        if plan.routers_reachable and start_ttl <= plan.routers_reachable:
-            # A TTL of k expires at the k-th router; anything <= 0 dies
-            # at the first router it meets (the decrement goes negative).
-            ordinal = start_ttl - 1 if start_ttl > 0 else 0
-            last_hop, terminal_router = plan.router_hops[ordinal]
-            terminal = _EXPIRE
-        elif plan.terminal_index is not None:
-            last_hop = plan.terminal_index
-            terminal = _DELIVER if plan.endpoint is not None else _SINK
-        else:
-            last_hop = plan.n_hops - 1
-            terminal = _TIMEOUT
+        terminal, last_hop, terminal_router = plan.terminal_for(start_ttl)
         walk_pkt: Optional[Packet] = None
         rewrite_pos = 0
         cursor = 0  # next link index still owing a loss draw
-        if plan.device_hops:
-            for dev_hop, devices in plan.device_hops:
-                if dev_hop > last_hop:
-                    break
-                if rates is not None:
-                    if self._fault_lost(rates, cursor, dev_hop + 1):
-                        return
-                    cursor = dev_hop + 1
-                elif rate > 0:
-                    rnd = sim._rng.random
-                    for _ in range(dev_hop + 1 - cursor):
-                        if rnd() < rate:
-                            if tel_on:
-                                tel.count("sim.packets_lost")
-                            return
-                    cursor = dev_hop + 1
-                if walk_pkt is None and (
-                    plan.rewrites and plan.rewrites[0][0] < dev_hop
-                ):
-                    # A router upstream rewrites the header: devices from
-                    # here on must see the rewritten copy. Otherwise they
-                    # read the caller's packet (LinkDevice.inspect is
-                    # read-only).
-                    walk_pkt = sim._clone(packet)
-                if walk_pkt is not None:
-                    rewrite_pos = self._apply_rewrites(
-                        plan, walk_pkt, rewrite_pos, dev_hop
-                    )
-                    inspected = walk_pkt
-                else:
-                    inspected = packet
-                remaining = start_ttl - plan.routers_before[dev_hop]
-                for device in devices:
-                    if flaky:
-                        if tel_on:
-                            tel.count("sim.fault_device_rolls")
-                        fate = faults.device_fate(device)
-                        if fate == FATE_FAIL_OPEN:
-                            continue
-                        if fate == FATE_FAIL_CLOSED and device.in_path:
-                            return
-                    ctx = InspectionContext(
-                        clock=sim.clock,
-                        remaining_ttl=remaining,
-                        link_index=dev_hop,
-                        direction=DIRECTION_FORWARD,
-                        net=sim.net_context,
-                    )
-                    verdict = device.inspect(inspected, ctx)
-                    if tel_on:
-                        tel.count("sim.device_inspections")
-                        if verdict.acted:
-                            tel.count("sim.device_actions")
-                    if verdict.inject_to_client or verdict.inject_to_server:
-                        self._dispatch_injections(
-                            verdict, plan, dev_hop, deliveries, client_ip
-                        )
-                    if verdict.drop and device.in_path:
-                        if tel_on:
-                            tel.count("sim.device_drops")
-                        return
-        if rates is not None:
-            if self._fault_lost(rates, cursor, last_hop + 1):
-                return
-        elif rate > 0:
-            rnd = sim._rng.random
-            for _ in range(last_hop + 1 - cursor):
-                if rnd() < rate:
-                    if tel_on:
-                        tel.count("sim.packets_lost")
+        for dev_hop, devices in plan.device_hops:
+            if dev_hop > last_hop:
+                break
+            if lossy:
+                if self._forward_lost(rates, cursor, dev_hop + 1):
                     return
+                cursor = dev_hop + 1
+            if walk_pkt is None and (
+                plan.rewrites and plan.rewrites[0][0] < dev_hop
+            ):
+                # A router upstream rewrites the header: devices from
+                # here on must see the rewritten copy. Otherwise they
+                # read the caller's packet (LinkDevice.inspect is
+                # read-only).
+                walk_pkt = sim._clone(packet)
+            if walk_pkt is not None:
+                rewrite_pos = self._apply_rewrites(
+                    plan, walk_pkt, rewrite_pos, dev_hop
+                )
+                inspected = walk_pkt
+            else:
+                inspected = packet
+            remaining = start_ttl - plan.routers_before[dev_hop]
+            for device in devices:
+                if flaky:
+                    if tel_on:
+                        tel.count("sim.fault_device_rolls")
+                    fate = faults.device_fate(device)
+                    if fate == FATE_FAIL_OPEN:
+                        continue
+                    if fate == FATE_FAIL_CLOSED and device.in_path:
+                        return
+                ctx = InspectionContext(
+                    clock=sim.clock,
+                    remaining_ttl=remaining,
+                    link_index=dev_hop,
+                    direction=DIRECTION_FORWARD,
+                    net=sim.net_context,
+                )
+                verdict = device.inspect(inspected, ctx)
+                if tel_on:
+                    tel.count("sim.device_inspections")
+                    if verdict.acted:
+                        tel.count("sim.device_actions")
+                if verdict.inject_to_client or verdict.inject_to_server:
+                    self._dispatch_injections(
+                        verdict, plan, dev_hop, deliveries, client_ip
+                    )
+                if verdict.drop and device.in_path:
+                    if tel_on:
+                        tel.count("sim.device_drops")
+                    return
+        if lossy and self._forward_lost(rates, cursor, last_hop + 1):
+            return
         if terminal is _EXPIRE:
             self._expire(
                 plan,
@@ -480,6 +503,21 @@ class BatchEngine:
                 deliveries,
             )
         # _SINK / _TIMEOUT: the walk ends without an observable event.
+
+    def _fault_walk(
+        self, plan: PathPlan
+    ) -> Tuple[Optional[Tuple[float, ...]], bool]:
+        """A forward walk's fault setup: the loss profile's per-hop
+        rates on ``plan`` (None: the uniform rate applies), and whether
+        devices roll flaky fates."""
+        faults = self.sim._faults
+        if faults is None:
+            return None, False
+        rates = None
+        if faults.per_link_loss:
+            # The profile replaces the uniform rate wholesale.
+            rates = plan.loss_rates(faults.plan.loss)[0]
+        return rates, faults.plan.flaky_devices is not None
 
     @staticmethod
     def _apply_rewrites(
@@ -608,21 +646,30 @@ class BatchEngine:
         start_index: int,
         deliveries: List[Packet],
     ) -> None:
-        """Walk ``pkt`` from hop ``start_index`` back into the client.
+        """Walk ``pkt`` from hop ``start_index`` back into the client,
+        delivering it with its arrival TTL unless it dies en route."""
+        ttl = self._reverse_ttl(plan, pkt.ip.ttl, start_index)
+        if ttl is not None:
+            pkt.ip.ttl = ttl
+            deliveries.append(pkt)
+
+    def _reverse_ttl(
+        self, plan: PathPlan, ttl: int, start_index: int
+    ) -> Optional[int]:
+        """The arrival TTL of a packet sent with ``ttl`` from hop
+        ``start_index`` back to the client; None when it dies en route.
 
         Replicates the scalar reverse policy: one loss draw per link
         (hops ``start_index-1 .. 0`` plus the client link, in order),
-        TTL decrement at routers with silent expiry, arrival TTL on the
-        delivered packet. Under a fault-plan loss profile the draws come
-        from the fault RNG at the plan's cached per-link rates. With no
-        loss at all the whole walk reduces to one subtraction against
-        the plan's router counts.
+        TTL decrement at routers with silent expiry. Under a fault-plan
+        loss profile the draws come from the fault RNG at the plan's
+        cached per-link rates. With no loss at all the whole walk
+        reduces to one subtraction against the plan's router counts.
         """
         sim = self.sim
         tel = sim.telemetry
         tel_on = tel.enabled
         rate = sim.loss_rate
-        ttl = pkt.ip.ttl
         faults = sim._faults
         if faults is not None and faults.per_link_loss:
             rates, client_rate = plan.loss_rates(faults.plan.loss)
@@ -634,47 +681,46 @@ class BatchEngine:
                 link_rate = rates[j]
                 if link_rate > 0.0 and rnd() < link_rate:
                     self._fault_reverse_lost(rolls)
-                    return
+                    return None
                 if is_router[j]:
                     ttl -= 1
                     if ttl <= 0:
                         if tel_on:
                             tel.count("sim.fault_loss_rolls", rolls)
                             tel.count("sim.reverse_ttl_expired")
-                        return
+                        return None
             rolls += 1
             if client_rate > 0.0 and rnd() < client_rate:
                 self._fault_reverse_lost(rolls)
-                return
+                return None
             if tel_on:
                 tel.count("sim.fault_loss_rolls", rolls)
-        elif rate > 0:
+            return ttl
+        if rate > 0:
             rnd = sim._rng.random
             is_router = plan.is_router
             for j in range(start_index - 1, -1, -1):
                 if rnd() < rate:
                     if tel_on:
                         tel.count("sim.packets_lost")
-                    return
+                    return None
                 if is_router[j]:
                     ttl -= 1
                     if ttl <= 0:
                         if tel_on:
                             tel.count("sim.reverse_ttl_expired")
-                        return
+                        return None
             if rnd() < rate:
                 if tel_on:
                     tel.count("sim.packets_lost")
-                return
-        else:
-            crossed = plan.routers_before[start_index]
-            if ttl <= crossed:
-                if tel_on:
-                    tel.count("sim.reverse_ttl_expired")
-                return
-            ttl -= crossed
-        pkt.ip.ttl = ttl
-        deliveries.append(pkt)
+                return None
+            return ttl
+        crossed = plan.routers_before[start_index]
+        if ttl <= crossed:
+            if tel_on:
+                tel.count("sim.reverse_ttl_expired")
+            return None
+        return ttl - crossed
 
     def _fault_reverse_lost(self, rolls: int) -> None:
         """Account a reverse-walk fault-plan loss after ``rolls`` links."""
@@ -718,6 +764,145 @@ class BatchEngine:
                 ),
                 deliveries,
             )
+
+    # -- connection-level control segments -----------------------------
+
+    def connect(self, conn, retries: int) -> bool:
+        """``conn.connect(retries)`` with capture off: the three-way
+        handshake at full TTL, each segment sent by :meth:`_control`.
+
+        Sets ``conn.server_isn`` and ``conn.established`` when a SYN-ACK
+        comes back; an RST (or silence after every retry) fails it.
+        """
+        isn = conn.CLIENT_ISN
+        for _ in range(retries + 1):
+            for flags, seq in self._control(conn, tcpmod.SYN, isn, 0):
+                if flags & tcpmod.SYN and flags & tcpmod.ACK:
+                    conn.server_isn = seq
+                    self._control(conn, tcpmod.ACK, isn + 1, seq + 1)
+                    conn.established = True
+                    return True
+                if flags & tcpmod.RST:
+                    return False
+        return False
+
+    def close(self, conn) -> None:
+        """``conn.close()`` with capture off: send the FIN, discard the
+        replies."""
+        ack = conn.server_isn + 1 if conn.server_isn is not None else 0
+        self._control(conn, tcpmod.FIN | tcpmod.ACK, conn._next_seq, ack)
+
+    def _control(
+        self, conn, flags: int, seq: int, ack: int
+    ) -> List[Tuple[int, int]]:
+        """Send one payload-less segment of ``conn`` at TTL 64; returns
+        ``(flags, seq)`` of each TCP packet delivered back, in order.
+
+        Equivalent to building the segment with ``tcp_packet`` and
+        :meth:`send`-ing it. When every device on the walked span
+        ``passes_control`` the flow, and the segment is not going to
+        expire at a router, no packet is built: the segment's IP ID is
+        allocated, its loss and flaky-device fates are drawn as
+        :meth:`_walk_forward` draws them, the endpoint applies its TCP
+        transition, and the reply's IP ID and reverse walk follow. A
+        delivery profile shapes the reply's ``(flags, seq)``, so the
+        reply is never built either. Otherwise the segment is built and
+        walked by :meth:`_walk_forward`.
+        """
+        sim = self.sim
+        net = sim.net_context
+        flow = conn.flow
+        ip_id = net.next_ip_id()
+        plan = self._enter(self._route_for(flow.src, flow.dst), flow)
+        terminal, last_hop, _ = plan.terminal_for(_CONTROL_TTL)
+        if terminal is _EXPIRE or not self._control_passes(plan, last_hop, flow):
+            packet = tcp_packet(
+                flow.src,
+                flow.dst,
+                flow.sport,
+                flow.dport,
+                flags=flags,
+                seq=seq,
+                ack=ack,
+                ttl=_CONTROL_TTL,
+                ip_id=ip_id,
+            )
+            deliveries: List[Packet] = []
+            self._walk_forward(plan, packet, deliveries, None)
+            return [
+                (p.tcp.flags, p.tcp.seq)
+                for p in self._leave(deliveries)
+                if p.tcp is not None
+            ]
+        replies: List[Tuple[int, int]] = []
+        if self._control_walk(plan, last_hop) and terminal is _DELIVER:
+            stack = sim._stack_for(plan.endpoint)
+            reply = stack.transition(
+                flow.src, flow.dst, flow.sport, flow.dport, flags, seq, ack
+            )
+            if reply is not None:
+                net.next_ip_id()  # the reply's IP ID
+                if self._reverse_ttl(plan, stack.REPLY_TTL, last_hop) is not None:
+                    replies.append(reply[:2])
+                    if sim._faults is not None:
+                        # Duplication and reordering draw per delivery;
+                        # the reply's (flags, seq) is all they move.
+                        replies = sim._faults.shape_deliveries(
+                            replies, tuple
+                        )
+        tel = sim.telemetry
+        if tel.enabled:
+            tel.count("sim.client_packets")
+            tel.count("sim.batch_control_resolved")
+            if replies:
+                tel.count("sim.deliveries", len(replies))
+        return replies
+
+    def _control_passes(
+        self, plan: PathPlan, last_hop: int, flow: FlowKey
+    ) -> bool:
+        """Does every device up to hop ``last_hop`` pass ``flow``'s
+        control segment untouched? Asked before any fate is drawn."""
+        clock = self.sim.clock
+        for dev_hop, devices in plan.device_hops:
+            if dev_hop > last_hop:
+                break
+            for device in devices:
+                if not device.passes_control(flow, clock):
+                    return False
+        return True
+
+    def _control_walk(self, plan: PathPlan, last_hop: int) -> bool:
+        """The forward walk of a control segment that every device
+        passes: :meth:`_walk_forward`'s loss draws and flaky-device
+        fates, in its order, with one inspection counted per device
+        reached. True when the segment reaches hop ``last_hop``."""
+        sim = self.sim
+        tel = sim.telemetry
+        tel_on = tel.enabled
+        rates, flaky = self._fault_walk(plan)
+        lossy = rates is not None or sim.loss_rate > 0
+        faults = sim._faults
+        cursor = 0
+        for dev_hop, devices in plan.device_hops:
+            if dev_hop > last_hop:
+                break
+            if lossy:
+                if self._forward_lost(rates, cursor, dev_hop + 1):
+                    return False
+                cursor = dev_hop + 1
+            for device in devices:
+                if flaky:
+                    if tel_on:
+                        tel.count("sim.fault_device_rolls")
+                    fate = faults.device_fate(device)
+                    if fate == FATE_FAIL_OPEN:
+                        continue
+                    if fate == FATE_FAIL_CLOSED and device.in_path:
+                        return False
+                if tel_on:
+                    tel.count("sim.device_inspections")
+        return not (lossy and self._forward_lost(rates, cursor, last_hop + 1))
 
     # -- the array ladder ----------------------------------------------
 
@@ -818,7 +1003,6 @@ class BatchEngine:
         # ephemeral stream carries only probe sports here, so the block
         # equals n sequential next_ephemeral_port() calls.
         sports = net.take_ephemeral_ports(n)
-        reachable = plan.routers_reachable
         per_packet_time = sim.per_packet_time
         results: List[List[Packet]] = []
         for i in range(n):
@@ -832,15 +1016,7 @@ class BatchEngine:
                 tel.count("sim.client_packets")
             if self._batches:
                 self._batches[-1][1] += 1
-            if reachable and ttl <= reachable:
-                last_hop, router = plan.router_hops[ttl - 1 if ttl > 0 else 0]
-                terminal = _EXPIRE
-            elif plan.terminal_index is not None:
-                last_hop = plan.terminal_index
-                terminal = _DELIVER if plan.endpoint is not None else _SINK
-            else:
-                last_hop = plan.n_hops - 1
-                terminal = _TIMEOUT
+            terminal, last_hop, router = plan.terminal_for(ttl)
             if rate > 0:
                 rnd = sim._rng.random
                 lost = False

@@ -13,6 +13,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..netmodel.ip import FlowKey
 from ..netmodel.netctx import NetContext
 from ..netmodel.packet import Packet
 
@@ -90,6 +91,19 @@ class LinkDevice(abc.ABC):
         verdict. ``packet.ip.ttl`` is the TTL the client sent; the TTL
         left at this link is ``ctx.remaining_ttl``.
         """
+
+    def passes_control(self, flow: FlowKey, clock: float) -> bool:
+        """Would :meth:`inspect` let a client's payload-less TCP segment
+        of ``flow`` (SYN, handshake ACK, FIN) pass untouched at ``clock``?
+
+        True promises that ``inspect`` would return a pass-through
+        verdict and change no state that any later inspection or
+        verdict depends on. The batched plane then resolves the segment
+        without building a packet for the device to read. False (the
+        default) makes the batched plane build the packet and call
+        :meth:`inspect`. Read-only, like ``inspect``.
+        """
+        return False
 
 
 @dataclass

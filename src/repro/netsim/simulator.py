@@ -696,16 +696,24 @@ class Simulator:
             )
 
 
+#: :meth:`EndpointStack.transition`'s answer for a data segment that the
+#: application must answer.
+TO_APPLICATION = "application"
+
+
 class EndpointStack:
     """A minimal TCP state machine living at an endpoint.
 
     Supports exactly what the measurement tools exercise: handshakes,
     one or more data segments answered by the application server, RST
     teardown (including device-forged RSTs arriving from the network),
-    and FIN close.
+    and FIN close. :meth:`transition` is the one state machine: both
+    :meth:`receive` and the batched plane's packet-less control
+    segments (``BatchEngine.connect``/``close``) go through it.
     """
 
     ISN = 1_000_000
+    REPLY_TTL = 64
 
     def __init__(
         self, endpoint: Endpoint, net: Optional[NetContext] = None
@@ -725,15 +733,54 @@ class EndpointStack:
         # the endpoint's own address is implied.
         self.flows: Dict[Tuple[str, int, int], str] = {}
 
+    def transition(
+        self,
+        src: str,
+        dst: str,
+        sport: int,
+        dport: int,
+        flags: int,
+        seq: int,
+        ack: int,
+        data: bool = False,
+    ):
+        """Apply a segment's header to the flow state.
+
+        Returns the reply header ``(flags, seq, ack)``, None when the
+        stack stays silent, or :data:`TO_APPLICATION` when the segment
+        carries ``data`` for an established flow. A payload-less
+        segment never reaches the application, so its whole effect is
+        this call.
+        """
+        if dst != self.endpoint.ip:
+            return None
+        flow = (src, sport, dport)
+        if flags & tcpmod.RST:
+            self.flows.pop(flow, None)
+            return None
+        if flags & tcpmod.SYN and not flags & tcpmod.ACK:
+            if dport not in self.open_ports:
+                return (tcpmod.RST | tcpmod.ACK, 0, seq + 1)
+            self.flows[flow] = "SYN_RECEIVED"
+            return (tcpmod.SYN | tcpmod.ACK, self.ISN, seq + 1)
+        state = self.flows.get(flow)
+        if state is None:
+            # Data for a torn-down or unknown flow: real stacks reset.
+            return (tcpmod.RST, ack, 0)
+        if flags & tcpmod.FIN:
+            self.flows.pop(flow, None)
+            return (tcpmod.FIN | tcpmod.ACK, self.ISN + 1, seq + 1)
+        if data:
+            return TO_APPLICATION
+        if state == "SYN_RECEIVED" and flags & tcpmod.ACK:
+            self.flows[flow] = "ESTABLISHED"
+        return None
+
     def receive(self, packet: Packet, clock: float) -> List[Packet]:
-        if packet.tcp is None:
-            return []
         segment = packet.tcp
-        ip = packet.ip
-        if ip.dst != self.endpoint.ip:
+        if segment is None:
             return []
-        flow = (ip.src, segment.sport, segment.dport)
-        responses: List[Packet] = []
+        ip = packet.ip
 
         def reply(flags: int, payload: bytes = b"", seq: int = 0, ack: int = 0) -> Packet:
             reply_packet = Packet(
@@ -742,7 +789,7 @@ class EndpointStack:
                 ip=IPHeader(
                     self.endpoint.ip,  # src
                     ip.src,  # dst
-                    64,  # ttl
+                    self.REPLY_TTL,  # ttl
                     ip.protocol,
                     0,  # tos
                     self.net.next_ip_id(),  # identification
@@ -763,66 +810,49 @@ class EndpointStack:
             reply_packet.emitted_by = self.endpoint.name
             return reply_packet
 
-        if segment.flags & tcpmod.RST:
-            self.flows.pop(flow, None)
+        action = self.transition(
+            ip.src,
+            ip.dst,
+            segment.sport,
+            segment.dport,
+            segment.flags,
+            segment.seq,
+            segment.ack,
+            bool(segment.payload),
+        )
+        if action is None:
             return []
-        if segment.flags & tcpmod.SYN and not (segment.flags & tcpmod.ACK):
-            if segment.dport not in self.open_ports:
-                return [
-                    reply(tcpmod.RST | tcpmod.ACK, ack=segment.seq + 1)
-                ]
-            self.flows[flow] = "SYN_RECEIVED"
-            return [
-                reply(
-                    tcpmod.SYN | tcpmod.ACK,
-                    seq=self.ISN,
-                    ack=segment.seq + 1,
-                )
-            ]
-        state = self.flows.get(flow)
-        if state is None:
-            # Data for a torn-down or unknown flow: real stacks reset.
+        if action is not TO_APPLICATION:
+            flags, seq, ack = action
+            return [reply(flags, seq=seq, ack=ack)]
+        flow = (ip.src, segment.sport, segment.dport)
+        self.flows[flow] = "ESTABLISHED"
+        server = self.endpoint.server
+        if server is None:
             return [reply(tcpmod.RST, seq=segment.ack)]
-        if segment.flags & tcpmod.FIN:
-            self.flows.pop(flow, None)
-            return [
+        app = server.handle_payload(segment.payload, ip.src)
+        if app.drop:
+            return []
+        if app.reset:
+            return [reply(tcpmod.RST | tcpmod.ACK, seq=segment.ack, ack=segment.seq)]
+        ack_value = segment.seq + len(segment.payload)
+        responses: List[Packet] = []
+        for i, body in enumerate(app.responses):
+            responses.append(
+                reply(
+                    tcpmod.PSH | tcpmod.ACK,
+                    payload=body,
+                    seq=self.ISN + 1 + i,
+                    ack=ack_value,
+                )
+            )
+        if app.close:
+            responses.append(
                 reply(
                     tcpmod.FIN | tcpmod.ACK,
-                    seq=self.ISN + 1,
-                    ack=segment.seq + 1,
+                    seq=self.ISN + 1 + len(app.responses),
+                    ack=ack_value,
                 )
-            ]
-        if state == "SYN_RECEIVED" and segment.flags & tcpmod.ACK and not segment.payload:
-            self.flows[flow] = "ESTABLISHED"
-            return []
-        if segment.payload:
-            self.flows[flow] = "ESTABLISHED"
-            server = self.endpoint.server
-            if server is None:
-                return [reply(tcpmod.RST, seq=segment.ack)]
-            app = server.handle_payload(segment.payload, ip.src)
-            if app.drop:
-                return []
-            if app.reset:
-                return [reply(tcpmod.RST | tcpmod.ACK, seq=segment.ack, ack=segment.seq)]
-            ack_value = segment.seq + len(segment.payload)
-            for i, body in enumerate(app.responses):
-                responses.append(
-                    reply(
-                        tcpmod.PSH | tcpmod.ACK,
-                        payload=body,
-                        seq=self.ISN + 1 + i,
-                        ack=ack_value,
-                    )
-                )
-            if app.close:
-                responses.append(
-                    reply(
-                        tcpmod.FIN | tcpmod.ACK,
-                        seq=self.ISN + 1 + len(app.responses),
-                        ack=ack_value,
-                    )
-                )
-                self.flows.pop(flow, None)
-            return responses
+            )
+            self.flows.pop(flow, None)
         return responses

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..netmodel import tcp as tcpmod
+from ..netmodel.ip import FlowKey
 from ..netmodel.netctx import NetContext, default_context
 from ..netmodel.packet import Packet, tcp_packet
 from .simulator import Simulator
 from .topology import Client
-
-_EPHEMERAL_BASE = NetContext.EPHEMERAL_BASE
 
 
 def next_ephemeral_port(net: Optional[NetContext] = None) -> int:
@@ -30,16 +29,6 @@ def next_ephemeral_port(net: Optional[NetContext] = None) -> int:
     selection bit-identically.
     """
     return (net if net is not None else default_context()).next_ephemeral_port()
-
-
-def reset_ephemeral_ports(base: int = _EPHEMERAL_BASE) -> None:
-    """Deprecated shim: rewind the *default* context's port stream.
-
-    Simulated connections now draw from the owning simulator's
-    :class:`~repro.netmodel.netctx.NetContext`; reset that instead
-    (``sim.net_context.reset()``).
-    """
-    default_context().reset_ephemeral_ports(base)
 
 
 @dataclass
@@ -59,7 +48,17 @@ class ProbeResult:
 
 
 class Connection:
-    """One client TCP connection through the simulator."""
+    """One client TCP connection through the simulator.
+
+    With a batch engine and capture off, the handshake and the FIN are
+    resolved by ``engine.connect``/``engine.close`` on the path plan:
+    those payload-less segments become packets only when a device on
+    the path might act on them. Data segments (:meth:`send_payload`)
+    always go through ``engine.send``. Without an engine, or while the
+    simulator captures, every segment is a packet sent through
+    ``sim.send_from_client`` (or ``engine.send``, which hands captured
+    sends to it).
+    """
 
     CLIENT_ISN = 42_000
 
@@ -89,6 +88,16 @@ class Connection:
         self.established = False
         self.server_isn: Optional[int] = None
         self._next_seq = self.CLIENT_ISN + 1
+        # The ECMP hash and residual-censorship key of every segment.
+        self.flow = FlowKey(client.ip, dst_ip, self.sport, dst_port)
+
+    def _control_engine(self):
+        """The engine that resolves this connection's control segments,
+        or None when they must be sent as packets."""
+        engine = self._engine
+        if engine is None or self.sim._capture_enabled:
+            return None
+        return engine
 
     # -- handshake ------------------------------------------------------
 
@@ -99,6 +108,9 @@ class Connection:
         simulated loss). A censored or unreachable endpoint leaves the
         connection unestablished.
         """
+        engine = self._control_engine()
+        if engine is not None:
+            return engine.connect(self, retries)
         for _ in range(retries + 1):
             syn = tcp_packet(
                 self.client.ip,
@@ -200,18 +212,22 @@ class Connection:
         """Send a FIN (best-effort; responses are discarded)."""
         if not self.established:
             return
-        fin = tcp_packet(
-            self.client.ip,
-            self.dst_ip,
-            self.sport,
-            self.dst_port,
-            flags=tcpmod.FIN | tcpmod.ACK,
-            seq=self._next_seq,
-            ack=(self.server_isn + 1) if self.server_isn is not None else 0,
-            ttl=64,
-            net=self.sim.net_context,
-        )
-        self._send(fin)
+        engine = self._control_engine()
+        if engine is not None:
+            engine.close(self)
+        else:
+            fin = tcp_packet(
+                self.client.ip,
+                self.dst_ip,
+                self.sport,
+                self.dst_port,
+                flags=tcpmod.FIN | tcpmod.ACK,
+                seq=self._next_seq,
+                ack=(self.server_isn + 1) if self.server_isn is not None else 0,
+                ttl=64,
+                net=self.sim.net_context,
+            )
+            self._send(fin)
         self.established = False
 
 

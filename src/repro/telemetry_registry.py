@@ -48,6 +48,9 @@ COUNTERS: Dict[str, str] = {
     "sim.batches": "batched sweeps walked by the packet plane",
     "sim.batch_fast_path": "sweeps served by the array fast path",
     "sim.batch_scalar_fallback": "sweeps that fell back to scalar transit",
+    "sim.batch_control_resolved": (
+        "handshake/teardown segments resolved without a packet"
+    ),
     # -- measurement tools (core) -----------------------------------
     "centrace.measurements": "CenTrace endpoint measurements started",
     "centrace.blocked": "measurements that observed censorship",

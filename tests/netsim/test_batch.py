@@ -18,8 +18,10 @@ exhaustive world x loss grid and the fault-preset grid ride behind
 """
 
 import dataclasses
+import functools
 import sys
 from pathlib import Path as _Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,9 +36,13 @@ from helpers import (
     make_profile_device,
 )
 
+from repro.devices.actions import KIND_RST, BlockAction
+from repro.devices.base import CensorshipDevice
+from repro.devices.rules import Blocklist
+from repro.devices.state import RESIDUAL_3TUPLE, RESIDUAL_HOSTS
 from repro.devices.vendors import KZ_STATE
 from repro.netmodel import tcp as tcpmod
-from repro.netmodel.packet import tcp_packet, udp_packet
+from repro.netmodel.packet import Packet, tcp_packet, udp_packet
 from repro.netsim.batch import BatchEngine, patched_quote
 from repro.netsim.faults import (
     PRESETS,
@@ -202,12 +208,12 @@ MIXED_PLAN = FaultPlan(
 # ---------------------------------------------------------------------------
 
 
-def tcp_workflow(sim, client, engine=None, n=24):
+def tcp_workflow(sim, client, engine=None, n=24, port=80):
     """Fresh-connection probes over a TTL ladder, with retries."""
     out = []
     for i in range(n):
         payload = BLOCKED_PAYLOAD if i % 3 == 0 else PAYLOAD
-        conn = open_connection(sim, client, ENDPOINT_IP, 80, engine=engine)
+        conn = open_connection(sim, client, ENDPOINT_IP, port, engine=engine)
         if conn is None:
             out.append(("handshake-failed",))
             sim.advance(1.0)
@@ -221,11 +227,16 @@ def tcp_workflow(sim, client, engine=None, n=24):
 
 
 def observe(sim, tel):
-    """Everything the two engines must agree on, beyond deliveries."""
-    counters = dict(tel.counters)
-    counters.pop("sim.batch_fast_path", None)
-    counters.pop("sim.batch_scalar_fallback", None)
-    counters.pop("sim.batches", None)
+    """Everything the two engines must agree on, beyond deliveries.
+
+    The ``sim.batch*`` counters (batches, fast path, scalar fallback,
+    control segments resolved without a packet) say which engine path
+    ran, so only the batched engine emits them."""
+    counters = {
+        name: value
+        for name, value in tel.counters.items()
+        if not name.startswith("sim.batch")
+    }
     faults = sim._faults
     fault_state = None
     if faults is not None:
@@ -251,7 +262,8 @@ def observe(sim, tel):
 def run_pair(builder, loss_rate, workload=tcp_workflow, plan=None):
     """Run ``workload`` scalar then batched on fresh worlds; compare.
 
-    Returns the (shared) observation snapshot."""
+    Returns the (shared) workload output and observation snapshot, and
+    the batched run's telemetry counters."""
     results = []
     for use_engine in (False, True):
         world = builder(loss_rate=loss_rate)
@@ -266,7 +278,7 @@ def run_pair(builder, loss_rate, workload=tcp_workflow, plan=None):
     (scalar_out, scalar_obs), (batch_out, batch_obs) = results
     assert scalar_out == batch_out
     assert scalar_obs == batch_obs
-    return scalar_obs
+    return scalar_out, scalar_obs, dict(tel.counters)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +513,7 @@ class TestFallback:
         assert results[0] == results[1]
 
     def test_mixed_fault_plan_parity(self):
-        observed = run_pair(world_device, 0.0, plan=MIXED_PLAN)
+        _, observed, _ = run_pair(world_device, 0.0, plan=MIXED_PLAN)
         # The workload really exercised every fault the plan declares.
         fault_counters = observed[-1][1]
         for name in ("packets_lost", "icmp_suppressed", "fail_open", "fail_closed"):
@@ -573,6 +585,197 @@ class TestFallbackAccounting:
         assert counters.get("sim.batch_fast_path") == 5
         assert "sim.batch_scalar_fallback" not in counters
         assert forwards == 0
+
+
+# ---------------------------------------------------------------------------
+# Connection-level control segments: SYN, handshake ACK and FIN are
+# resolved on the path plan without a packet unless a device may act on
+# them. The parity surfaces are the same; the batched run's counters
+# show which path each segment took.
+# ---------------------------------------------------------------------------
+
+CLOSED_PORT = 8080
+
+
+def handshake_workflow(sim, client, engine=None, n=24, close=True, port=80):
+    """Connections that send no data, so every segment is a control
+    segment. Returns which handshakes succeeded."""
+    out = []
+    for _ in range(n):
+        conn = open_connection(sim, client, ENDPOINT_IP, port, engine=engine)
+        out.append(conn is not None)
+        if conn is not None and close:
+            conn.close()
+    return out
+
+
+def residual_world(mode):
+    """An RST injector whose residual timer punishes the tuple (``mode``)
+    of each blocked request for four virtual seconds."""
+
+    def builder(loss_rate=0.0, seed=7):
+        device = CensorshipDevice(
+            "residual",
+            blocklist=Blocklist.for_domains([BLOCKED_DOMAIN]),
+            action=BlockAction(kind=KIND_RST),
+            residual_mode=mode,
+            residual_duration=4.0,
+        )
+        return build_linear_world(
+            n_routers=6,
+            device=device,
+            device_link=3,
+            loss_rate=loss_rate,
+            seed=seed,
+        )
+
+    return builder
+
+
+def residual_workflow(sim, client, engine=None, n=16):
+    """Blocked requests on port 80 between plain ones on 443, paced so
+    each punishment meets the FIN and the next SYNs, then expires.
+
+    Also returns the flags of every payload-less segment the device
+    acted on."""
+    route = sim.topology.route_between(CLIENT_IP, ENDPOINT_IP)
+    (device,) = route.paths[0].hops[3].link_devices
+    acted = set()
+    inspect = device.inspect
+
+    def recording(packet, ctx):
+        verdict = inspect(packet, ctx)
+        if verdict.acted and not packet.tcp.payload:
+            acted.add(packet.tcp.flags)
+        return verdict
+
+    device.inspect = recording
+    out = []
+    for i in range(n):
+        port = 80 if i % 2 == 0 else 443
+        conn = open_connection(sim, client, ENDPOINT_IP, port, engine=engine)
+        if conn is None:
+            out.append((port, "handshake-failed"))
+        else:
+            payload = BLOCKED_PAYLOAD if i % 4 == 0 else PAYLOAD
+            result = conn.send_payload(payload, retries=1)
+            conn.close()
+            out.append((port, tuple(p.to_bytes() for p in result.received)))
+        sim.advance(1.5)
+    return out, sorted(acted)
+
+
+def multipath_world(loss_rate=0.0, seed=7):
+    sim, client, _endpoint = build_multipath_world(loss_rate, seed)
+    return SimpleNamespace(sim=sim, client=client)
+
+
+def churn_workflow(sim, client, engine=None, n=12):
+    """The churn epoch after each handshake and after its FIN."""
+    out = []
+    for _ in range(n):
+        conn = open_connection(sim, client, ENDPOINT_IP, 80, engine=engine)
+        epoch = sim.churn_epoch
+        conn.close()
+        out.append((epoch, sim.churn_epoch))
+    return out
+
+
+def all_resolved(counters):
+    """Every client packet was a control segment resolved without one."""
+    return counters["sim.batch_control_resolved"] == counters["sim.client_packets"]
+
+
+class TestControlSegments:
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    def test_closed_port_rst_answers_syn(self, loss):
+        out, observed, counters = run_pair(
+            world_device,
+            loss,
+            workload=functools.partial(handshake_workflow, port=CLOSED_PORT),
+        )
+        assert not any(out)  # RST|ACK refuses every handshake
+        assert observed[3]["sim.deliveries"] > 0
+        assert all_resolved(counters)
+
+    @pytest.mark.parametrize("mode", [RESIDUAL_HOSTS, RESIDUAL_3TUPLE])
+    def test_residual_tuple_meets_syn_and_fin(self, mode):
+        (out, acted), _, counters = run_pair(
+            residual_world(mode), 0.0, workload=residual_workflow
+        )
+        assert tcpmod.SYN in acted
+        assert tcpmod.FIN | tcpmod.ACK in acted
+        # Only a hosts-mode punishment reaches the next 443 handshake.
+        refused_443 = (443, "handshake-failed") in out
+        assert refused_443 == (mode == RESIDUAL_HOSTS)
+        # Segments the device passes are still resolved without a packet.
+        assert 0 < counters["sim.batch_control_resolved"]
+
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    def test_residual_parity_under_loss(self, loss):
+        for mode in (RESIDUAL_HOSTS, RESIDUAL_3TUPLE):
+            run_pair(residual_world(mode), loss, workload=residual_workflow)
+
+    def test_mixed_plan_fails_closed_on_control_segments(self):
+        _, observed, counters = run_pair(
+            world_device, 0.0, workload=handshake_workflow, plan=MIXED_PLAN
+        )
+        fault_counters = observed[-1][1]
+        for name in ("packets_lost", "fail_open", "fail_closed"):
+            assert fault_counters[name] > 0, name
+        assert all_resolved(counters)
+
+    def test_duplicate_preset_duplicates_syn_ack(self):
+        # No close(): SYN-ACKs are the only replies there are to shape.
+        _, observed, counters = run_pair(
+            world_device,
+            0.0,
+            workload=functools.partial(handshake_workflow, n=60, close=False),
+            plan=PRESETS["duplicate"],
+        )
+        assert observed[-1][1]["duplicated"] > 0
+        assert all_resolved(counters)
+
+    def test_churn_epoch_between_syn_and_fin(self):
+        out, _, counters = run_pair(
+            multipath_world, 0.0, workload=churn_workflow, plan=PRESETS["churn"]
+        )
+        assert any(after != before for before, after in out)
+        assert all_resolved(counters)
+
+    @pytest.mark.parametrize(
+        "name", ["rewrite", "device_rewrite", "device_then_rewrite"]
+    )
+    @pytest.mark.parametrize("preset", [None, "duplicate", "chaos"])
+    def test_rewrite_worlds(self, name, preset):
+        plan = PRESETS[preset] if preset is not None else None
+        _, _, counters = run_pair(WORLDS[name], 0.0, plan=plan)
+        assert counters["sim.batch_control_resolved"] > 0
+
+    def test_clean_connect_close_builds_no_packet(self, monkeypatch):
+        # Counts constructions the way perfbench's `materialized` metric
+        # does: a silent fallback to building the segments fails here.
+        world = world_device()
+        tel = Telemetry()
+        world.sim.set_telemetry(tel)
+        engine = world.sim.batch_engine()
+        built = []
+        post_init = Packet.__post_init__
+
+        def counting(packet):
+            built.append(packet)
+            post_init(packet)
+
+        monkeypatch.setattr(Packet, "__post_init__", counting)
+        for _ in range(5):
+            conn = open_connection(
+                world.sim, world.client, ENDPOINT_IP, 80, engine=engine
+            )
+            assert conn is not None
+            conn.close()
+        assert built == []
+        assert tel.counters["sim.batch_control_resolved"] == 15
+        assert tel.counters["sim.device_inspections"] == 15
 
 
 # ---------------------------------------------------------------------------

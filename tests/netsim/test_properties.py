@@ -1,5 +1,7 @@
-"""Property-based simulator invariants (hypothesis)."""
+"""Property-based simulator invariants (hypothesis), and batch-vs-scalar
+parity over generated worlds."""
 
+import functools
 import sys
 from pathlib import Path
 
@@ -7,10 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent.parent))
-from helpers import OK_DOMAIN, build_linear_world
+from helpers import BLOCKED_DOMAIN, OK_DOMAIN, build_linear_world
 
+from repro.devices.actions import KIND_DROP, KIND_RST, BlockAction
+from repro.devices.base import CensorshipDevice
+from repro.devices.rules import Blocklist
+from repro.devices.state import RESIDUAL_3TUPLE, RESIDUAL_HOSTS, RESIDUAL_OFF
 from repro.netmodel.http import HTTPRequest
+from repro.netsim.faults import PRESETS
 from repro.netsim.tcpstack import open_connection
+
+from .test_batch import run_pair, tcp_workflow
 
 
 @st.composite
@@ -85,3 +94,80 @@ class TestForwardingInvariants:
             conn.send_payload(HTTPRequest.normal(OK_DOMAIN).build(), ttl=3)
             assert world.sim.clock > last
             last = world.sim.clock
+
+
+@st.composite
+def linear_worlds(draw):
+    """A linear world's knobs: where the device and a header-rewriting
+    router sit (or none), loss, an open or closed port, how the device
+    acts and punishes, and a fault-plan preset (or none)."""
+    n_routers = draw(st.integers(min_value=2, max_value=8))
+    hop = st.none() | st.integers(min_value=0, max_value=n_routers - 1)
+    return {
+        "n_routers": n_routers,
+        "device_link": draw(hop),
+        "rewrite_hop": draw(hop),
+        "loss_rate": draw(st.floats(min_value=0.0, max_value=0.3)),
+        "port": draw(st.sampled_from([80, 8080])),
+        "action": draw(st.sampled_from([KIND_DROP, KIND_RST])),
+        "residual_mode": draw(
+            st.sampled_from([RESIDUAL_OFF, RESIDUAL_HOSTS, RESIDUAL_3TUPLE])
+        ),
+        "plan": draw(st.sampled_from([None, *sorted(PRESETS)])),
+        "seed": draw(st.integers(min_value=0, max_value=1000)),
+    }
+
+
+def generated_world(params):
+    """A ``run_pair`` builder for the world ``params`` describes."""
+
+    def builder(loss_rate):
+        device = None
+        if params["device_link"] is not None:
+            device = CensorshipDevice(
+                "generated",
+                blocklist=Blocklist.for_domains([BLOCKED_DOMAIN]),
+                action=BlockAction(kind=params["action"]),
+                residual_mode=params["residual_mode"],
+                residual_duration=3.0,
+            )
+        world = build_linear_world(
+            n_routers=params["n_routers"],
+            device=device,
+            device_link=params["device_link"] or 0,
+            loss_rate=loss_rate,
+            seed=params["seed"],
+        )
+        if params["rewrite_hop"] is not None:
+            router = world.routers[params["rewrite_hop"]]
+            router.rewrite_tos = 0x28
+            router.rewrite_ip_flags = 0
+        return world
+
+    return builder
+
+
+def check_parity(params):
+    plan = params["plan"]
+    run_pair(
+        generated_world(params),
+        params["loss_rate"],
+        workload=functools.partial(tcp_workflow, n=12, port=params["port"]),
+        plan=PRESETS[plan] if plan is not None else None,
+    )
+
+
+class TestGeneratedWorldParity:
+    """The scalar and batched engines agree on every generated world:
+    deliveries, RNG and identifier streams, clock and counters."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(params=linear_worlds())
+    def test_tcp_workflow_parity(self, params):
+        check_parity(params)
+
+    @pytest.mark.slow
+    @settings(max_examples=500, deadline=None)
+    @given(params=linear_worlds())
+    def test_tcp_workflow_parity_exhaustive(self, params):
+        check_parity(params)

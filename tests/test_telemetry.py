@@ -394,6 +394,31 @@ class TestBatchCounters:
         assert "sim.batch_fast_path" in rendered
         assert "sim.batches" in rendered
 
+    def test_control_segment_counter_beside_fast_path(self):
+        from repro.netsim.tcpstack import open_connection
+
+        world = self._world()
+        tel = Telemetry()
+        world.sim.set_telemetry(tel)
+        conn = open_connection(
+            world.sim,
+            world.client,
+            world.endpoint.ip,
+            80,
+            engine=world.sim.batch_engine(),
+        )
+        conn.close()
+        report = tel.build_report()
+        # SYN, handshake ACK and FIN: on the fast path, none built.
+        assert report.counters["sim.batch_fast_path"] == 3
+        assert report.counters["sim.batch_control_resolved"] == 3
+        rows = [
+            line.split()[0]
+            for line in report.render().splitlines()
+            if line.startswith("  sim.batch")
+        ]
+        assert rows == ["sim.batch_control_resolved", "sim.batch_fast_path"]
+
     def test_measurement_tools_frame_batches(self):
         # CenTrace sweeps and CenFuzz endpoint runs are the batch
         # boundaries campaigns observe.
