@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,9 +32,16 @@ _RESPONSE_CODES = {TYPE_TIMEOUT: 0.0, TYPE_RST: 1.0, TYPE_FIN: 2.0, TYPE_HTTP: 3
 _SIGNATURE_PORTS = (22, 23, 80, 443, 8080, 8443, 161, 21)
 
 
+@lru_cache(maxsize=None)
+def _strategy_names() -> Tuple[str, ...]:
+    # Strategy names are static; building every permutation to list
+    # them is done once per process, not per feature vector.
+    return tuple(sorted(all_strategies())) + ("Normal",)
+
+
 def strategy_feature_names() -> List[str]:
     """The CenFuzz-derived feature names (one per strategy) + Normal."""
-    return sorted(all_strategies().keys()) + ["Normal"]
+    return list(_strategy_names())
 
 
 def base_feature_names() -> List[str]:

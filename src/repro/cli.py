@@ -604,8 +604,16 @@ def cmd_report(args: argparse.Namespace) -> int:
                 try:
                     meta = json.loads(meta_path.read_text())
                 except (OSError, ValueError):
-                    meta = {}
-                if meta.get("version", 0) < 2:
+                    meta = None
+                version = meta.get("version", 0) if isinstance(meta, dict) else None
+                if not isinstance(version, int) or isinstance(version, bool):
+                    print(
+                        f"unreadable meta.json under {args.run!r} — expected "
+                        'a JSON object with an integer "version"',
+                        file=sys.stderr,
+                    )
+                    return 2
+                if version < 2:
                     detail = (
                         " (a format-version 1 directory, saved before "
                         "run reports existed)"

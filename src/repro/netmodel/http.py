@@ -208,14 +208,18 @@ class HTTPResponse:
     }
 
     def build(self) -> bytes:
+        # surrogateescape, as in parse(): a body echoing request bytes
+        # that are not UTF-8 (a fuzzed path) goes back out byte for byte.
         reason = self.reason or self._REASONS.get(self.status_code, "")
         lines = [f"HTTP/1.1 {self.status_code} {reason}"]
         headers = list(self.headers)
+        body = self.body.encode("utf-8", "surrogateescape")
         if not any(name.lower() == "content-length" for name, _ in headers):
-            headers.append(("Content-Length", str(len(self.body.encode()))))
+            headers.append(("Content-Length", str(len(body))))
         for name, value in headers:
             lines.append(f"{name}: {value}")
-        return (CRLF.join(lines) + CRLF * 2 + self.body).encode()
+        head = CRLF.join(lines) + CRLF * 2
+        return head.encode("utf-8", "surrogateescape") + body
 
     @classmethod
     def parse(cls, data: bytes) -> Optional["HTTPResponse"]:

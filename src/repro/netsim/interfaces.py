@@ -10,8 +10,8 @@ what a device may observe and do.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..netmodel.ip import FlowKey
 from ..netmodel.netctx import NetContext
@@ -106,18 +106,23 @@ class LinkDevice(abc.ABC):
         return False
 
 
-@dataclass
+@dataclass(frozen=True)
 class AppReply:
-    """An application server's reaction to a payload."""
+    """An application server's reaction to a payload.
 
-    responses: List[bytes] = field(default_factory=list)  # payload bytes
+    Frozen with a tuple of responses, so one reply can be shared by
+    every delivery of the same payload (``EndpointStack`` memoizes
+    them).
+    """
+
+    responses: Tuple[bytes, ...] = ()  # payload bytes
     drop: bool = False  # silently ignore (endpoint-local filtering)
     reset: bool = False  # respond with TCP RST
     close: bool = False  # send FIN after responses
 
     @classmethod
     def respond(cls, *payloads: bytes, close: bool = False) -> "AppReply":
-        return cls(responses=list(payloads), close=close)
+        return cls(responses=payloads, close=close)
 
 
 class ApplicationServer(abc.ABC):
@@ -125,4 +130,11 @@ class ApplicationServer(abc.ABC):
 
     @abc.abstractmethod
     def handle_payload(self, payload: bytes, client_ip: str) -> AppReply:
-        """React to application-layer ``payload`` from ``client_ip``."""
+        """React to application-layer ``payload`` from ``client_ip``.
+
+        A pure function of ``payload``, ``client_ip`` and the server's
+        construction: no state may change between calls, and no clock,
+        RNG or connection state may be read. ``EndpointStack`` relies on
+        this to answer a repeated payload from its memo instead of
+        calling the server again.
+        """

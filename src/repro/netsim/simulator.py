@@ -49,6 +49,7 @@ from .faults import FATE_FAIL_CLOSED, FATE_FAIL_OPEN, FaultPlan, FaultState
 from .interfaces import (
     DIRECTION_FORWARD,
     DIRECTION_REVERSE,
+    AppReply,
     InspectionContext,
     Verdict,
 )
@@ -732,6 +733,11 @@ class EndpointStack:
         # (client ip, client port, endpoint port) -> connection state;
         # the endpoint's own address is implied.
         self.flows: Dict[Tuple[str, int, int], str] = {}
+        # (payload, client ip) -> the server's reply. handle_payload is
+        # a pure function of its arguments (ApplicationServer), so a
+        # repeated payload reuses the reply; the stack, and with it the
+        # memo, lives for one work unit (Simulator.reset drops both).
+        self._replies: Dict[Tuple[bytes, str], AppReply] = {}
 
     def transition(
         self,
@@ -830,7 +836,11 @@ class EndpointStack:
         server = self.endpoint.server
         if server is None:
             return [reply(tcpmod.RST, seq=segment.ack)]
-        app = server.handle_payload(segment.payload, ip.src)
+        key = (segment.payload, ip.src)
+        app = self._replies.get(key)
+        if app is None:
+            app = server.handle_payload(segment.payload, ip.src)
+            self._replies[key] = app
         if app.drop:
             return []
         if app.reset:

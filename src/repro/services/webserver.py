@@ -17,11 +17,12 @@ substitution in DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from ..netmodel.http import HTTPResponse, parse_request
+from ..netmodel.http import HTTPResponse, ParsedRequest, parse_request
 from ..netmodel.tls import (
+    ParsedClientHello,
     ServerHello,
     looks_like_client_hello,
     parse_client_hello,
@@ -111,13 +112,25 @@ class WebServer(ApplicationServer):
     # -- ApplicationServer ----------------------------------------------
 
     def handle_payload(self, payload: bytes, client_ip: str) -> AppReply:
+        # Parsed once, here: the local-filtering hook and the serving
+        # logic read the same parse.
         if looks_like_client_hello(payload):
-            return self._handle_tls(payload)
-        return self._handle_http(payload)
+            hello = parse_client_hello(payload)
+            refused = self._refuse(hello.sni if hello.ok else None)
+            return refused if refused is not None else self._handle_tls(hello)
+        # Parsed accepting bare LF: a profile that requires CRLF still
+        # answers 400 through ``used_bare_lf`` in ``_handle_http``.
+        request = parse_request(payload)
+        refused = self._refuse(request.host if request.ok else None)
+        return refused if refused is not None else self._handle_http(request)
 
-    def _handle_http(self, payload: bytes) -> AppReply:
+    def _refuse(self, host: Optional[str]) -> Optional[AppReply]:
+        """The reply of an endpoint that filters ``host`` itself, or
+        None to serve the request (a plain web server filters nothing)."""
+        return None
+
+    def _handle_http(self, request: ParsedRequest) -> AppReply:
         profile = self.profile
-        request = parse_request(payload, accept_bare_lf=not profile.requires_crlf)
         if not request.ok:
             return AppReply.respond(
                 HTTPResponse(400, body="Bad Request").build(), close=True
@@ -158,8 +171,7 @@ class WebServer(ApplicationServer):
             HTTPResponse(200, body=_page(vhost, path)).build(), close=True
         )
 
-    def _handle_tls(self, payload: bytes) -> AppReply:
-        hello = parse_client_hello(payload)
+    def _handle_tls(self, hello: ParsedClientHello) -> AppReply:
         if not hello.ok:
             return AppReply.respond(tls_alert(50), close=True)  # decode_error
         vhost = self._resolve_vhost(hello.sni)
@@ -204,25 +216,15 @@ class FilteringWebServer(WebServer):
             raise ValueError(f"unknown filtering mode: {mode}")
         self.mode = mode
 
-    def _is_locally_blocked(self, host: Optional[str]) -> bool:
+    def _refuse(self, host: Optional[str]) -> Optional[AppReply]:
         if not host:
-            return False
+            return None
         candidate = host.strip().lower()
-        return any(
+        if any(
             candidate == blocked or candidate.endswith("." + blocked)
             for blocked in self.blocked_hosts
-        )
-
-    def handle_payload(self, payload: bytes, client_ip: str) -> AppReply:
-        host: Optional[str] = None
-        if looks_like_client_hello(payload):
-            parsed = parse_client_hello(payload)
-            host = parsed.sni if parsed.ok else None
-        else:
-            request = parse_request(payload)
-            host = request.host if request.ok else None
-        if self._is_locally_blocked(host):
+        ):
             if self.mode == "drop":
                 return AppReply(drop=True)
             return AppReply(reset=True)
-        return super().handle_payload(payload, client_ip)
+        return None

@@ -13,6 +13,7 @@ from repro.analysis.features import (
     feature_matrix,
     strategy_feature_names,
 )
+from repro.core.cenfuzz.strategies import all_strategies
 from repro.core.centrace.results import (
     CenTraceResult,
     TYPE_HTTP,
@@ -50,6 +51,20 @@ class TestExtraction:
         assert "Get Word Alt." in names
         assert "Normal" in names
         assert len(names) == len(set(names))
+
+    def test_strategy_names_follow_the_strategy_catalog(self):
+        assert strategy_feature_names() == sorted(all_strategies()) + ["Normal"]
+        assert all_feature_names()[-len(strategy_feature_names()):] == (
+            strategy_feature_names()
+        )
+
+    def test_feature_name_lists_are_fresh(self):
+        # The names are derived once; callers still get their own list.
+        first = strategy_feature_names()
+        first.append("Mutated")
+        all_feature_names().append("Mutated")
+        assert "Mutated" not in strategy_feature_names()
+        assert "Mutated" not in all_feature_names()
 
     def test_unblocked_endpoint_all_missing(self):
         features = extract_features("10.0.0.9", [_trace(blocked=False)])

@@ -13,8 +13,11 @@ from typing import List, Optional, Sequence
 from repro.devices.base import CensorshipDevice
 from repro.devices.vendors import VendorProfile, make_device
 from repro.geo.asdb import ASDatabase
+from repro.netmodel import tcp as tcpmod
+from repro.netmodel.netctx import NetContext
+from repro.netmodel.packet import tcp_packet
 from repro.netsim.routing import Hop, Path, Route
-from repro.netsim.simulator import POLICY_FORWARD, Simulator
+from repro.netsim.simulator import POLICY_FORWARD, EndpointStack, Simulator
 from repro.netsim.topology import Client, Endpoint, Router, Topology
 from repro.services.webserver import ServerProfile, WebServer
 
@@ -123,3 +126,32 @@ def count_forward_transits(sim: Simulator) -> dict:
 
     sim._run_transit = counting
     return counts
+
+
+def deliver_payload(stack: EndpointStack, payload: bytes, sport: int):
+    """Handshake with ``stack`` on a new flow from :data:`CLIENT_IP`,
+    then send it ``payload``: the stack's replies (every field but the
+    IP ID) and the flow's state afterwards."""
+    net = NetContext()
+
+    def segment(flags, seq, ack, data=b""):
+        return tcp_packet(
+            CLIENT_IP, stack.endpoint.ip, sport, 80,
+            flags=flags, seq=seq, ack=ack, payload=data, net=net,
+        )
+
+    isn = EndpointStack.ISN
+    handshake = stack.receive(segment(tcpmod.SYN, 100, 0), 0.0)
+    assert [p.tcp.flags for p in handshake] == [tcpmod.SYN | tcpmod.ACK]
+    assert stack.receive(segment(tcpmod.ACK, 101, isn + 1), 0.0) == []
+    replies = stack.receive(
+        segment(tcpmod.PSH | tcpmod.ACK, 101, isn + 1, payload), 0.0
+    )
+    shape = [
+        (
+            p.ip.src, p.ip.dst, p.ip.ttl, p.tcp.sport, p.tcp.dport,
+            p.tcp.flags, p.tcp.seq, p.tcp.ack, p.tcp.payload,
+        )
+        for p in replies
+    ]
+    return shape, stack.flows.get((CLIENT_IP, sport, 80))

@@ -205,6 +205,20 @@ class TestCampaign:
         err = capsys.readouterr().err
         assert "without telemetry" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[1]", '{"version": "2"}', '{"version": 2'],
+        ids=["not-an-object", "string-version", "unparseable"],
+    )
+    def test_report_run_malformed_meta(self, capsys, tmp_path, text):
+        (tmp_path / "meta.json").write_text(text)
+        assert main(["report", "--run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unreadable meta.json" in err
+        assert "format-version 1" not in err
+        assert "Traceback" not in err
+
     def test_report_registry_renders_documented_surface(self, capsys):
         assert main(["report", "--registry"]) == 0
         out = capsys.readouterr().out

@@ -77,6 +77,16 @@ class TestLenientServer:
         _, response = _http_reply(self.server, raw)
         assert response.status_code == 200
 
+    def test_non_utf8_path_echoed_byte_for_byte(self):
+        # The served page names the requested path; a fuzzed path that
+        # is not UTF-8 goes back out as sent instead of crashing.
+        raw = f"GET /a\xff HTTP/1.1\r\nHost: {DOMAIN}\r\n\r\n".encode("latin-1")
+        reply, response = _http_reply(self.server, raw)
+        assert response.status_code == 200
+        assert b"resource /a\xff<" in reply.responses[0]
+        body = reply.responses[0].partition(b"\r\n\r\n")[2]
+        assert int(dict(response.headers)["Content-Length"]) == len(body)
+
 
 class TestWildcardServer:
     server = WebServer(
@@ -151,6 +161,22 @@ class TestFilteringWebServer:
         server = FilteringWebServer([DOMAIN], ["www.banned.example"], mode="drop")
         reply = server.handle_payload(HTTPRequest.normal(DOMAIN).build(), "10.0.0.1")
         assert not reply.drop and reply.responses
+
+    def test_bare_lf_request_filtered_by_crlf_only_server(self):
+        # The filter reads the server's one tolerant parse: a bare-LF
+        # request for a filtered host is dropped, and any other bare-LF
+        # request is refused with 400 by a server that requires CRLF.
+        server = FilteringWebServer(
+            [DOMAIN],
+            ["www.banned.example"],
+            mode="drop",
+            profile=ServerProfile(requires_crlf=True),
+        )
+        banned = HTTPRequest(host="www.banned.example").build()
+        assert server.handle_payload(banned.replace(b"\r\n", b"\n"), "10.0.0.1").drop
+        own = HTTPRequest.normal(DOMAIN).build().replace(b"\r\n", b"\n")
+        _, response = _http_reply(server, own)
+        assert response.status_code == 400
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
