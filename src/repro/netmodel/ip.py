@@ -18,6 +18,9 @@ PROTO_ICMP = 1
 PROTO_TCP = 6
 PROTO_UDP = 17
 
+#: TTL a host sets on a packet it originates (a full-TTL packet).
+DEFAULT_TTL = 64
+
 # IP flag bits (in the 3-bit flags field).
 FLAG_RESERVED = 0x4
 FLAG_DF = 0x2
@@ -84,7 +87,7 @@ class IPHeader:
 
     src: str
     dst: str
-    ttl: int = 64
+    ttl: int = DEFAULT_TTL
     protocol: int = PROTO_TCP
     tos: int = 0
     identification: int = 0

@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .icmp import ICMPMessage
-from .ip import PROTO_ICMP, PROTO_TCP, PROTO_UDP, FlowKey, IPHeader
+from .ip import (
+    DEFAULT_TTL,
+    PROTO_ICMP,
+    PROTO_TCP,
+    PROTO_UDP,
+    FlowKey,
+    IPHeader,
+)
 from .netctx import NetContext, default_context
 from .tcp import ACK, FIN, PSH, RST, SYN, TCPSegment
 from .udp import UDPDatagram
@@ -142,7 +149,7 @@ def tcp_packet(
     flags: int = SYN,
     seq: int = 0,
     ack: int = 0,
-    ttl: int = 64,
+    ttl: int = DEFAULT_TTL,
     payload: bytes = b"",
     tos: int = 0,
     ip_id: Optional[int] = None,
@@ -179,7 +186,7 @@ def icmp_packet(
     dst: str,
     message: ICMPMessage,
     *,
-    ttl: int = 64,
+    ttl: int = DEFAULT_TTL,
     net: Optional[NetContext] = None,
 ) -> Packet:
     """Convenience constructor for an ICMP packet."""
@@ -203,7 +210,7 @@ def udp_packet(
     dport: int,
     *,
     payload: bytes = b"",
-    ttl: int = 64,
+    ttl: int = DEFAULT_TTL,
     tos: int = 0,
     ip_id: Optional[int] = None,
     net: Optional[NetContext] = None,

@@ -67,7 +67,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..netmodel import tcp as tcpmod
-from ..netmodel.ip import FlowKey, IPHeader, checksum16
+from ..netmodel.ip import DEFAULT_TTL, FlowKey, IPHeader, checksum16
 from ..netmodel.icmp import time_exceeded
 from ..netmodel.packet import Packet, icmp_packet, tcp_packet
 from ..netmodel.udp import UDPDatagram
@@ -89,7 +89,7 @@ _TIMEOUT = "timeout"  # path is all routers and the TTL outlives them
 
 
 #: The TTL of a connection's handshake and teardown segments.
-_CONTROL_TTL = 64
+_CONTROL_TTL = DEFAULT_TTL
 
 
 def patched_quote(wire_bytes: bytes, ttl: int) -> bytes:
