@@ -22,8 +22,34 @@ def gini(labels: np.ndarray) -> float:
     if labels.size == 0:
         return 0.0
     _, counts = np.unique(labels, return_counts=True)
-    proportions = counts / labels.size
+    return _counts_gini(counts, labels.size)
+
+
+def _counts_gini(counts: np.ndarray, size: int) -> float:
+    """Gini impurity from the counts of the classes present."""
+    proportions = counts / size
     return float(1.0 - np.sum(proportions**2))
+
+
+def _row_gini(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``gini`` of each row of class ``counts`` (row totals ``sizes``).
+
+    Bit-identical to ``gini`` on the row's labels: that sums the
+    squared proportions of the classes present, in class order, and
+    ``np.sum`` adds fewer than eight terms one by one from zero, so
+    absent classes (adding +0.0) change nothing. From eight classes on
+    ``np.sum`` sums pairwise, so each row sums its present classes.
+    """
+    squares = (counts / sizes[:, None]) ** 2
+    if counts.shape[1] < 8:
+        total = np.zeros(len(counts))
+        for column in squares.T:
+            total += column
+    else:
+        total = np.array(
+            [np.sum(row[present]) for row, present in zip(squares, counts > 0)]
+        )
+    return 1.0 - total
 
 
 @dataclass
@@ -100,35 +126,54 @@ class DecisionTreeClassifier:
     def _best_split(
         self, X: np.ndarray, y: np.ndarray
     ) -> Optional[Tuple[int, float, float, np.ndarray]]:
-        parent_impurity = gini(y)
+        """The first split with the largest Gini decrease.
+
+        Candidate thresholds are the midpoints between a feature's
+        consecutive distinct values. Each candidate feature is sorted
+        once and every threshold is scored from cumulative class
+        counts, with the arithmetic of ``gini`` on each side; features
+        and thresholds are scanned in order and only a strictly larger
+        decrease replaces the best.
+        """
+        n = y.size
+        classes, counts = np.unique(y, return_counts=True)
+        parent_impurity = _counts_gini(counts, n)
         if parent_impurity == 0.0:
             return None
-        best: Optional[Tuple[int, float, float, np.ndarray]] = None
+        best: Optional[Tuple[int, float, float]] = None
         best_decrease = 1e-12
-        n = y.size
         for feature in self._candidate_features():
             column = X[:, feature]
-            values = np.unique(column)
+            order = np.argsort(column)
+            ordered = column[order]
+            # The distinct values, ascending (as np.unique would give).
+            values = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
             if values.size <= 1:
                 continue
-            # Candidate thresholds: midpoints between consecutive values.
             thresholds = (values[:-1] + values[1:]) / 2.0
-            for threshold in thresholds:
-                left_mask = column <= threshold
-                n_left = int(left_mask.sum())
-                if n_left == 0 or n_left == n:
-                    continue
-                impurity_left = gini(y[left_mask])
-                impurity_right = gini(y[~left_mask])
-                weighted = (
-                    n_left / n * impurity_left
-                    + (n - n_left) / n * impurity_right
-                )
-                decrease = parent_impurity - weighted
-                if decrease > best_decrease:
-                    best_decrease = decrease
-                    best = (feature, float(threshold), decrease, left_mask)
-        return best
+            n_left = np.searchsorted(ordered, thresholds, side="right")
+            valid = (n_left > 0) & (n_left < n)
+            if not valid.any():
+                continue
+            thresholds = thresholds[valid]
+            n_left = n_left[valid]
+            # Class counts of the first k sorted samples, for each k.
+            cumulative = np.cumsum(y[order][:, None] == classes, axis=0)
+            left = cumulative[n_left - 1]
+            right = cumulative[-1] - left
+            n_right = n - n_left
+            weighted = n_left / n * _row_gini(left, n_left) + n_right / n * _row_gini(
+                right, n_right
+            )
+            decrease = parent_impurity - weighted
+            index = int(np.argmax(decrease))
+            if decrease[index] > best_decrease:
+                best_decrease = float(decrease[index])
+                best = (feature, float(thresholds[index]), best_decrease)
+        if best is None:
+            return None
+        feature, threshold, decrease = best
+        return feature, threshold, decrease, X[:, feature] <= threshold
 
     # -- prediction ---------------------------------------------------------
 

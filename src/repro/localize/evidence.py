@@ -36,7 +36,6 @@ from ..core.centrace.results import (
 )
 from ..core.centrace.tracer import build_probe_payload
 from ..netmodel import tcp as tcpmod
-from ..netmodel.ip import FlowKey
 from ..netsim.routing import Route
 from ..netsim.tcpstack import Connection
 
@@ -170,10 +169,9 @@ def _probe_once(
     # Resolve the traversed links *before* the FIN goes out: the seed
     # must be the one the decisive (payload) packet was hashed with,
     # and close()'s FIN could tip the churn counter into a new epoch.
-    flow = FlowKey(client.ip, endpoint_ip, conn.sport, port)
     route = sim.topology.route_between(client.ip, endpoint_ip)
     links = route.traversed_links(
-        flow, client.name, seed=sim.current_path_seed()
+        conn.flow, client.name, seed=sim.current_path_seed()
     )
     epoch = sim.churn_epoch
     if established:

@@ -311,14 +311,19 @@ class BatchEngine:
     # -- the per-send fast path ----------------------------------------
 
     def send(
-        self, packet: Packet, wire_bytes: Optional[bytes] = None
+        self,
+        packet: Packet,
+        wire_bytes: Optional[bytes] = None,
+        flow: Optional[FlowKey] = None,
     ) -> List[Packet]:
         """Semantically identical to ``sim.send_from_client(packet)``.
 
         ``wire_bytes``, when the caller already serialized the packet
         (CenTrace records ``sent_bytes`` for every probe), lets the
         expiry path derive the ICMP quote by patching the TTL byte
-        instead of re-serializing the transport payload.
+        instead of re-serializing the transport payload. ``flow``, when
+        the caller holds the packet's flow key (a connection's data
+        segment), is used for the ECMP hash instead of rebuilding it.
 
         Fault plans stay on the fast path: the send counts toward path
         churn before its path is picked, and the deliveries are shaped
@@ -332,8 +337,7 @@ class BatchEngine:
         src = packet.ip.src
         dst = packet.ip.dst
         route = self._route_for(src, dst)
-        flow = None
-        if len(route.paths) > 1:
+        if flow is None and len(route.paths) > 1:
             # Same flow hashing as the scalar engine: TCP uses the real
             # 5-tuple, everything else a degenerate per-pair key.
             flow = (

@@ -44,6 +44,10 @@ class Path:
     # when the path is registered on a topology so the simulator walks
     # object references instead of doing per-hop name/IP dict lookups.
     nodes: Optional[List[object]] = field(default=None, repr=False, compare=False)
+    # origin -> links(origin): hops never change after registration.
+    _links: Dict[str, Tuple[Tuple[str, str], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.hops:
@@ -103,10 +107,22 @@ class Path:
         :meth:`devices`, so a device reported at ``link_index i`` sits
         on ``links(origin)[i]``. Tomography keys its boolean system on
         these pairs: two ECMP paths that traverse the same physical
-        link produce the same pair.
+        link produce the same pair. Memoized per origin.
         """
-        names = (origin,) + self.node_names()
-        return tuple(zip(names, names[1:]))
+        links = self._links.get(origin)
+        if links is None:
+            names = (origin,) + self.node_names()
+            links = self._links[origin] = tuple(zip(names, names[1:]))
+        return links
+
+
+def flow_point(flow: FlowKey, seed: int) -> float:
+    """The ECMP hash of ``flow`` under ``seed``, as a point in [0, 1)."""
+    digest = hashlib.blake2b(
+        f"{flow.src}|{flow.dst}|{flow.sport}|{flow.dport}|{flow.protocol}|{seed}".encode(),
+        digest_size=8,
+    ).digest()
+    return int.from_bytes(digest, "big") / 2**64
 
 
 class Route:
@@ -122,26 +138,35 @@ class Route:
             raise ValueError("weights must match paths")
         total = float(sum(weights))
         self.weights = [w / total for w in weights]
+        # The last selection: ((src, dst, sport, dport, protocol, seed),
+        # path). A connection's segments go out back to back, so one
+        # entry catches them all.
+        self._last: Optional[Tuple[tuple, Path]] = None
 
     def select(self, flow: FlowKey, seed: int = 0) -> Path:
         """Deterministically pick the path this flow takes.
 
         Uses a hash of the 5-tuple (like real ECMP) mapped onto the
-        weighted path distribution.
+        weighted path distribution. The choice is a pure function of
+        the flow, the seed and the (immutable) paths and weights, so
+        the last one is remembered and a repeat skips the hash.
         """
         if len(self.paths) == 1:
             return self.paths[0]
-        digest = hashlib.blake2b(
-            f"{flow.src}|{flow.dst}|{flow.sport}|{flow.dport}|{flow.protocol}|{seed}".encode(),
-            digest_size=8,
-        ).digest()
-        point = int.from_bytes(digest, "big") / 2**64
+        key = (flow.src, flow.dst, flow.sport, flow.dport, flow.protocol, seed)
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        point = flow_point(flow, seed)
+        chosen = self.paths[-1]
         cumulative = 0.0
         for path, weight in zip(self.paths, self.weights):
             cumulative += weight
             if point < cumulative:
-                return path
-        return self.paths[-1]
+                chosen = path
+                break
+        self._last = (key, chosen)
+        return chosen
 
     def enumerate_paths(self) -> Tuple[Tuple[Path, float], ...]:
         """Every candidate path with its normalized selection weight.

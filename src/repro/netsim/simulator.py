@@ -832,10 +832,12 @@ class EndpointStack:
             flags, seq, ack = action
             return [reply(flags, seq=seq, ack=ack)]
         flow = (ip.src, segment.sport, segment.dport)
-        self.flows[flow] = "ESTABLISHED"
         server = self.endpoint.server
         if server is None:
+            # Nothing listens behind the port: reset, tearing down.
+            self.flows.pop(flow, None)
             return [reply(tcpmod.RST, seq=segment.ack)]
+        self.flows[flow] = "ESTABLISHED"
         key = (segment.payload, ip.src)
         app = self._replies.get(key)
         if app is None:
@@ -844,6 +846,7 @@ class EndpointStack:
         if app.drop:
             return []
         if app.reset:
+            self.flows.pop(flow, None)
             return [reply(tcpmod.RST | tcpmod.ACK, seq=segment.ack, ack=segment.seq)]
         ack_value = segment.seq + len(segment.payload)
         responses: List[Packet] = []

@@ -209,7 +209,9 @@ class Connection:
         engine = self._engine
         while True:
             if engine is not None:
-                received = engine.send(probe, wire_bytes=sent_bytes)
+                received = engine.send(
+                    probe, wire_bytes=sent_bytes, flow=self.flow
+                )
             else:
                 received = self.sim.send_from_client(probe)
             result.received.extend(received)

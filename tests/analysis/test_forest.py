@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.forest import (
     DecisionTreeClassifier,
     RandomForestClassifier,
+    _row_gini,
     cross_validate_forest,
     gini,
 )
@@ -121,3 +122,120 @@ class TestCrossValidation:
             X, y, folds=5, repeats=1, n_estimators=10, seed=0
         )
         assert np.argmax(result.mean_importances()) == 1
+
+
+def _reference_best_split(X, y, features):
+    """The per-threshold scan ``_best_split`` replaces: a boolean mask
+    and two ``gini`` calls for every candidate threshold."""
+    parent_impurity = gini(y)
+    if parent_impurity == 0.0:
+        return None
+    best = None
+    best_decrease = 1e-12
+    n = y.size
+    for feature in features:
+        column = X[:, feature]
+        values = np.unique(column)
+        if values.size <= 1:
+            continue
+        for threshold in (values[:-1] + values[1:]) / 2.0:
+            left_mask = column <= threshold
+            n_left = int(left_mask.sum())
+            if n_left == 0 or n_left == n:
+                continue
+            weighted = n_left / n * gini(y[left_mask]) + (n - n_left) / n * gini(
+                y[~left_mask]
+            )
+            decrease = parent_impurity - weighted
+            if decrease > best_decrease:
+                best_decrease = decrease
+                best = (feature, float(threshold), decrease, left_mask)
+    return best
+
+
+@st.composite
+def split_problems(draw):
+    """A small labeled matrix: few distinct values per column (ties
+    between thresholds and samples), up to ten classes (the pairwise
+    ``np.sum`` regime starts at eight)."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    n_features = draw(st.integers(min_value=1, max_value=5))
+    n_classes = draw(st.integers(min_value=1, max_value=10))
+    pool = draw(
+        st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    cells = draw(
+        st.lists(st.sampled_from(pool), min_size=n * n_features, max_size=n * n_features)
+    )
+    labels = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n_classes - 1), min_size=n, max_size=n
+        )
+    )
+    return np.array(cells).reshape(n, n_features), np.array(labels)
+
+
+class TestBestSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=split_problems())
+    def test_matches_the_per_threshold_scan(self, problem):
+        X, y = problem
+        tree = DecisionTreeClassifier()
+        tree.n_features_ = X.shape[1]
+        got = tree._best_split(X, y)
+        want = _reference_best_split(X, y, range(X.shape[1]))
+        if want is None:
+            assert got is None
+            return
+        assert got[:3] == want[:3]
+        assert (got[3] == want[3]).all()
+
+    def test_many_classes_match_the_per_threshold_scan(self):
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 6, size=(60, 3)).astype(float)
+        y = rng.integers(0, 12, size=60)
+        tree = DecisionTreeClassifier()
+        tree.n_features_ = 3
+        got = tree._best_split(X, y)
+        want = _reference_best_split(X, y, range(3))
+        assert got[:3] == want[:3]
+        assert (got[3] == want[3]).all()
+
+    def test_first_of_tied_thresholds_wins(self):
+        # Splitting off either end sample gives the same decrease.
+        X = np.array([[1.0], [2.0], [3.0], [4.0]])
+        y = np.array([0, 1, 1, 0])
+        tree = DecisionTreeClassifier()
+        tree.n_features_ = 1
+        feature, threshold, _, left = tree._best_split(X, y)
+        assert (feature, threshold) == (0, 1.5)
+        assert left.tolist() == [True, False, False, False]
+
+    def test_first_of_tied_features_wins(self):
+        column = np.array([1.0, 2.0, 3.0, 4.0])
+        X = np.stack([column[::-1], column], axis=1)
+        y = np.array([0, 0, 1, 1])
+        tree = DecisionTreeClassifier()
+        tree.n_features_ = 2
+        assert tree._best_split(X, y)[:2] == (0, 2.5)
+
+
+class TestRowGini:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=60),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_equals_gini_of_each_row(self, rows):
+        classes = np.arange(12)
+        counts = np.array([[row.count(c) for c in classes] for row in rows])
+        sizes = np.array([len(row) for row in rows])
+        got = _row_gini(counts, sizes)
+        assert got.tolist() == [gini(np.array(row)) for row in rows]

@@ -1,10 +1,20 @@
 """Routes, paths and flow-hash selection (ECMP)."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.devices.vendors import KZ_STATE, make_device
+from repro.netmodel.http import HTTPRequest
 from repro.netmodel.ip import FlowKey
+from repro.netsim import routing
+from repro.netsim.faults import FaultPlan, PathChurnProfile
 from repro.netsim.routing import Hop, Path, Route, single_path_route
+from repro.netsim.simulator import Simulator
+from repro.netsim.tcpstack import Connection
+from repro.netsim.topology import Client, Endpoint, Router, Topology
+from repro.services.webserver import WebServer
 
 
 def _path(names):
@@ -157,3 +167,162 @@ class TestEnumeratePaths:
             (("c", "a"), ("a", "x"), ("x", "ep")),
             (("c", "b"), ("b", "y"), ("y", "ep")),
         }
+
+
+def _fresh_select(route, flow, seed):
+    """``Route.select`` without its memo: hash, then scan the weights."""
+    digest = hashlib.blake2b(
+        f"{flow.src}|{flow.dst}|{flow.sport}|{flow.dport}|{flow.protocol}|{seed}".encode(),
+        digest_size=8,
+    ).digest()
+    point = int.from_bytes(digest, "big") / 2**64
+    cumulative = 0.0
+    for path, weight in zip(route.paths, route.weights):
+        cumulative += weight
+        if point < cumulative:
+            return path
+    return route.paths[-1]
+
+
+def _fresh_links(path, origin):
+    names = (origin,) + path.node_names()
+    return tuple(zip(names, names[1:]))
+
+
+@st.composite
+def ecmp_cases(draw):
+    """A route of 2-5 weighted paths, and a sequence of (flow, seed,
+    origin) lookups drawn from small pools, so that repeats come both
+    back to back and interleaved with other flows."""
+    nodes = st.sampled_from(["a", "b", "c", "d", "e"])
+    paths = draw(
+        st.lists(
+            st.lists(nodes, min_size=0, max_size=3).map(
+                lambda names: Path([Hop(n) for n in names + ["ep"]])
+            ),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    weights = draw(
+        st.lists(
+            st.floats(min_value=0.1, max_value=10.0),
+            min_size=len(paths),
+            max_size=len(paths),
+        )
+    )
+    flows = st.builds(
+        FlowKey,
+        src=st.sampled_from(["10.0.0.1", "10.0.0.2"]),
+        dst=st.just("10.9.0.1"),
+        sport=st.integers(min_value=40000, max_value=40003),
+        dport=st.sampled_from([80, 443]),
+        protocol=st.sampled_from([6, 17]),
+    )
+    lookups = draw(
+        st.lists(
+            st.tuples(
+                flows,
+                st.sampled_from([0, 7, 7 + 0x9E3779B1]),
+                st.sampled_from(["c1", "c2"]),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    return Route(paths, weights), lookups
+
+
+def check_memo_agrees(case):
+    route, lookups = case
+    for flow, seed, origin in lookups:
+        path = route.select(flow, seed=seed)
+        assert path is _fresh_select(route, flow, seed)
+        assert path.links(origin) == _fresh_links(path, origin)
+        assert route.traversed_links(flow, origin, seed=seed) == _fresh_links(
+            path, origin
+        )
+
+
+class TestSelectionMemo:
+    @settings(max_examples=25, deadline=None)
+    @given(case=ecmp_cases())
+    def test_memoized_selection_matches_a_fresh_hash(self, case):
+        check_memo_agrees(case)
+
+    @pytest.mark.slow
+    @settings(max_examples=500, deadline=None)
+    @given(case=ecmp_cases())
+    def test_memoized_selection_matches_a_fresh_hash_exhaustive(self, case):
+        check_memo_agrees(case)
+
+    def test_links_are_computed_once_per_origin(self):
+        path = _path(["a", "b", "ep"])
+        assert path.links("c1") is path.links("c1")
+        assert path.links("c2") == (("c2", "a"), ("a", "b"), ("b", "ep"))
+
+
+def _four_path_world(fault_plan=None):
+    """A client reaching one endpoint over four equal-cost
+    one-router paths."""
+    topology = Topology("ecmp-4")
+    client = topology.add_client(Client("client", "10.0.0.1", asn=64500))
+    endpoint = topology.add_endpoint(
+        Endpoint("ep", "10.9.0.1", asn=64999, server=WebServer(("www.ok.example",)))
+    )
+    paths = []
+    for i in range(4):
+        router = topology.add_router(Router(f"r{i}", f"10.1.{i}.1", asn=64501))
+        paths.append(Path([Hop(router.name), Hop(endpoint.name)]))
+    topology.add_route(client.ip, endpoint.ip, Route(paths))
+    return Simulator(topology, seed=7, fault_plan=fault_plan), client, endpoint
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """Every ECMP hash computed, as (flow fields, seed)."""
+    seen = []
+    original = routing.flow_point
+
+    def counted(flow, seed):
+        seen.append((flow.src, flow.dst, flow.sport, flow.dport, flow.protocol, seed))
+        return original(flow, seed)
+
+    monkeypatch.setattr(routing, "flow_point", counted)
+    return seen
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batch", "scalar"])
+class TestHashesPerConnection:
+    def _connection(self, sim, client, endpoint, batched):
+        engine = sim.batch_engine() if batched else None
+        conn = Connection(sim, client, endpoint.ip, 80, engine=engine)
+        assert conn.connect()
+        result = conn.send_payload(HTTPRequest.normal("www.ok.example").build())
+        assert result.received
+        # The evidence builder's read, right after the data segment.
+        links = sim.topology.route_between(client.ip, endpoint.ip).traversed_links(
+            conn.flow, client.name, seed=sim.current_path_seed()
+        )
+        conn.close()
+        return links
+
+    def test_one_hash_per_connection(self, batched, hashes):
+        sim, client, endpoint = _four_path_world()
+        self._connection(sim, client, endpoint, batched)
+        # SYN, ACK, data, links and FIN share one (flow, seed).
+        assert len(hashes) == 1
+        self._connection(sim, client, endpoint, batched)
+        assert len(hashes) == 2
+        assert len(set(hashes)) == 2
+
+    def test_churn_epoch_rehashes(self, batched, hashes):
+        # The third client send (the data segment) opens a new epoch.
+        plan = FaultPlan(
+            name="churn-3", churn=PathChurnProfile(rehash_after_packets=3)
+        )
+        sim, client, endpoint = _four_path_world(plan)
+        self._connection(sim, client, endpoint, batched)
+        assert sim.churn_epoch == 1
+        [(*flow, first), (*same_flow, second)] = hashes
+        assert flow == same_flow and first != second

@@ -9,10 +9,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent.parent))
 from helpers import (
     BLOCKED_DOMAIN,
+    CLIENT_IP,
     CONTROL_DOMAIN,
     ENDPOINT_IP,
     OK_DOMAIN,
     build_linear_world,
+    deliver_payload,
     make_profile_device,
 )
 
@@ -20,8 +22,12 @@ from repro.devices.vendors import BY_DPI, KZ_STATE, TSPU_TTLCOPY
 from repro.netmodel import tcp as tcpmod
 from repro.netmodel.http import HTTPRequest
 from repro.netmodel.icmp import QUOTE_RFC1812
+from repro.netmodel.netctx import NetContext
 from repro.netmodel.packet import tcp_packet
+from repro.netsim.simulator import EndpointStack
 from repro.netsim.tcpstack import open_connection
+from repro.netsim.topology import Endpoint, Service
+from repro.services.webserver import FilteringWebServer
 
 
 def _probe(world, domain, ttl, port=80):
@@ -130,6 +136,46 @@ class TestEndpointBehaviour:
         second = conn.send_payload(HTTPRequest.normal(OK_DOMAIN).build())
         flags = [p.tcp.flags for p in second.received if p.is_tcp]
         assert any(f & tcpmod.RST for f in flags)
+
+
+class TestEndpointReset:
+    """An endpoint that answers data with a reset tears the flow down,
+    so a later FIN on it is answered with RST, not FIN|ACK."""
+
+    def _fin_reply(self, stack, sport):
+        fin = tcp_packet(
+            CLIENT_IP, ENDPOINT_IP, sport, 80,
+            flags=tcpmod.FIN | tcpmod.ACK, seq=200,
+            ack=EndpointStack.ISN + 1, net=NetContext(),
+        )
+        return [p.tcp.flags for p in stack.receive(fin, 0.0)]
+
+    def test_application_reset_drops_the_flow(self):
+        server = FilteringWebServer(
+            (OK_DOMAIN, BLOCKED_DOMAIN), (BLOCKED_DOMAIN,), mode="reset"
+        )
+        stack = EndpointStack(
+            Endpoint("endpoint", ENDPOINT_IP, asn=64999, server=server),
+            net=NetContext(),
+        )
+        payload = HTTPRequest.normal(BLOCKED_DOMAIN).build()
+        replies, state = deliver_payload(stack, payload, 5000)
+        assert [r[5] for r in replies] == [tcpmod.RST | tcpmod.ACK]
+        assert state is None
+        assert self._fin_reply(stack, 5000) == [tcpmod.RST]
+
+    def test_data_without_a_server_drops_the_flow(self):
+        stack = EndpointStack(
+            Endpoint(
+                "endpoint", ENDPOINT_IP, asn=64999,
+                services={80: Service(80, "http")},
+            ),
+            net=NetContext(),
+        )
+        replies, state = deliver_payload(stack, b"GET / HTTP/1.1\r\n\r\n", 5001)
+        assert [r[5] for r in replies] == [tcpmod.RST]
+        assert state is None
+        assert self._fin_reply(stack, 5001) == [tcpmod.RST]
 
 
 class TestLossAndClock:

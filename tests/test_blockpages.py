@@ -1,4 +1,4 @@
-"""The blockpage matcher: match order, corpus edits and the verdict memo."""
+"""The blockpage matcher: match order, the fixed corpus and the verdict memo."""
 
 import pytest
 
@@ -52,27 +52,12 @@ class TestCorpus:
         matcher = BlockpageMatcher([EARLY])
         assert isinstance(matcher.fingerprints, tuple)
         with pytest.raises(AttributeError):
-            matcher.fingerprints = (LATE,)  # only add() changes the corpus
+            matcher.fingerprints = (LATE,)  # fixed at construction
 
     def test_explicitly_empty_corpus_matches_nothing(self):
         matcher = BlockpageMatcher([])
         assert matcher.fingerprints == ()
         assert matcher.match_payload(_page(FORTINET_BLOCKPAGE)) is None
-
-    def test_add_after_cached_lookup_changes_the_answer(self):
-        matcher = BlockpageMatcher([EARLY])
-        payload = _page("only the second marker here")
-        assert matcher.match_payload(payload) is None  # now memoized
-        matcher.add(LATE)
-        assert matcher.fingerprints == (EARLY, LATE)
-        assert matcher.match_payload(payload) is LATE
-
-    def test_add_appends_last_in_match_order(self):
-        matcher = BlockpageMatcher([LATE])
-        payload = _page("first marker, second marker")
-        assert matcher.match_payload(payload) is LATE
-        matcher.add(EARLY)
-        assert matcher.match_payload(payload) is LATE
 
 
 class TestMemo:
