@@ -29,14 +29,7 @@ from .experiments.base import fraction_arg, positive_int_arg, scale_arg
 from .geo.countries import COUNTRIES, build_world
 from .geo.drift import DriftError
 from .netsim.faults import FaultPlan
-from .persist import (
-    PersistError,
-    fuzz_report_to_dict,
-    probe_report_to_dict,
-    save_campaign,
-    save_localization,
-    trace_result_to_dict,
-)
+from .persist import PersistError, save_campaign, save_localization, to_dict
 from .service.jobs import ServiceError
 
 _WORLD_CACHE = {}
@@ -147,7 +140,7 @@ def cmd_centrace(args: argparse.Namespace) -> int:
         for ip in endpoint_ips
     ]
     if args.json:
-        print(json.dumps([trace_result_to_dict(r) for r in results], indent=2))
+        print(json.dumps([to_dict(r) for r in results], indent=2))
         return 0
     for result in results:
         print(result.brief())
@@ -181,7 +174,7 @@ def cmd_cenfuzz(args: argparse.Namespace) -> int:
         strategies=strategies,
     )
     if args.json:
-        print(json.dumps(fuzz_report_to_dict(report), indent=2))
+        print(json.dumps(to_dict(report), indent=2))
         return 0
     print(
         f"{domain} ({args.protocol}) -> {endpoint_ip}: "
@@ -209,7 +202,7 @@ def cmd_cenprobe(args: argparse.Namespace) -> int:
         ips = sorted(set(world.device_host_ip.values()))
     reports = prober.scan_many(ips)
     if args.json:
-        print(json.dumps([probe_report_to_dict(r) for r in reports], indent=2))
+        print(json.dumps([to_dict(r) for r in reports], indent=2))
         return 0
     for report in reports:
         ports = ",".join(map(str, report.open_ports)) or "-"

@@ -73,20 +73,25 @@ class FuzzProbeOutcome:
 
 @dataclass
 class PermutationResult:
-    """The evaluation of one permutation against one endpoint."""
+    """The evaluation of one permutation against one endpoint.
 
-    endpoint_ip: str
-    test_domain: str
+    Persisted as a row of its :class:`EndpointFuzzReport`: the fields
+    marked ``"persist": "parent"`` are the report's own and are not
+    saved per row.
+    """
+
+    endpoint_ip: str = field(metadata={"persist": "parent"})
+    test_domain: str = field(metadata={"persist": "parent"})
     strategy: str
     label: str
-    protocol: str
-    normal_blocked: bool
-    test: FuzzProbeOutcome
-    control: FuzzProbeOutcome
+    protocol: str = field(metadata={"persist": "parent"})
+    normal_blocked: bool = field(metadata={"persist": "parent"})
     successful: bool = False
     unsuccessful: bool = False
     circumvented: bool = False
     degraded: bool = False  # a re-probe disagreed with the first attempt
+    test: FuzzProbeOutcome = field(kw_only=True)
+    control: FuzzProbeOutcome = field(kw_only=True)
 
 
 @dataclass
@@ -102,8 +107,8 @@ class EndpointFuzzReport:
     normal_control: FuzzProbeOutcome = field(
         default_factory=lambda: FuzzProbeOutcome(OUTCOME_RESPONSE)
     )
-    results: List[PermutationResult] = field(default_factory=list)
     degraded: bool = False  # any permutation needed a tie-breaking re-probe
+    results: List[PermutationResult] = field(default_factory=list)
 
     @property
     def normal_blocked(self) -> bool:

@@ -145,8 +145,15 @@ class CenTraceResult:
     blockpage_fingerprint: Optional[str] = None
     quote_delta: Optional[QuoteDelta] = None
     control_hops: Dict[int, Dict[str, int]] = field(default_factory=dict)
-    sweeps_control: List[TraceSweep] = field(default_factory=list)
-    sweeps_test: List[TraceSweep] = field(default_factory=list)
+    # The raw per-TTL sweeps are inputs to classification, not results:
+    # the saved record is analysis-complete, and replaying sweeps
+    # requires re-probing, so persistence leaves them out.
+    sweeps_control: List[TraceSweep] = field(
+        default_factory=list, metadata={"persist": False}
+    )
+    sweeps_test: List[TraceSweep] = field(
+        default_factory=list, metadata={"persist": False}
+    )
 
     def control_path(self) -> List[HopInfo]:
         """The most likely control path as attributed hops."""

@@ -39,12 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.cenprobe import CenProbe
 from ..geo.countries import StudyWorld, build_world
 from ..geo.drift import DriftPlan, ops_touching, unit_touchpoints
-from ..persist import (
-    UnitCache,
-    unit_cache_key,
-    unit_result_from_dict,
-    unit_result_to_dict,
-)
+from ..persist import UnitCache, to_dict, unit_cache_key, unit_result_from_dict
 from ..telemetry import NULL_TELEMETRY
 from .campaign import (
     CampaignConfig,
@@ -198,9 +193,7 @@ class EpochScheduler:
         for index, result in zip(miss_indices, fresh):
             results[index] = result
             if self.cache is not None:
-                self.cache.put(
-                    keys[index], kind, unit_result_to_dict(kind, result)
-                )
+                self.cache.put(keys[index], kind, to_dict(result))
         reused = len(units) - len(miss_indices)
         self.telemetry.count(f"store.units_reused.{kind}", reused)
         self.telemetry.count(f"store.units_executed.{kind}", len(miss_units))

@@ -5,6 +5,8 @@ The real measurement platforms publish their raw data (Censored Planet
 capability for campaign outputs:
 
 * one JSON object per CenTrace result / CenFuzz report / banner grab,
+  written and read by one codec (:func:`to_dict` / :func:`from_dict`)
+  planned from each record's dataclass fields,
 * directory-level save/load for a whole campaign
   (``traces.jsonl`` / ``fuzz.jsonl`` / ``banners.jsonl`` / ``meta.json``),
 * loaded results reconstruct the dataclasses the analysis pipeline
@@ -16,21 +18,21 @@ terminating responses), not archived byte-for-byte.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import typing
+from dataclasses import MISSING, dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
-
-from .core.cenfuzz.runner import (
-    EndpointFuzzReport,
-    FuzzProbeOutcome,
-    PermutationResult,
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
-from .core.cenprobe.scanner import BannerGrab, ProbeReport
-from .core.centrace.results import CenTraceResult, HopInfo
+
+from .core.cenfuzz.runner import EndpointFuzzReport
+from .core.cenprobe.scanner import ProbeReport
+from .core.centrace.results import CenTraceResult
 from .localize.evidence import PathEvidence
 from .localize.verdicts import LocalizationVerdict
-from .netmodel.icmp import QuoteDelta
 from .telemetry import NULL_TELEMETRY, RunReport
 
 # 2: adds optional report.json (telemetry run report) + has_report meta.
@@ -48,8 +50,13 @@ class PersistError(RuntimeError):
 
     Raised instead of raw ``FileNotFoundError``/``JSONDecodeError`` so
     analysis CLI paths can catch one exception type and exit cleanly;
-    the message always names the offending path.
+    the message always names the offending path. ``key`` names the
+    offending key of a malformed record ("" when none applies).
     """
+
+    def __init__(self, message: str, key: str = "") -> None:
+        super().__init__(message)
+        self.key = key
 
 
 def _read_json(path: Path, what: str) -> Dict:
@@ -77,371 +84,288 @@ def _read_json(path: Path, what: str) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# CenTrace results
+# The record codec
 # ---------------------------------------------------------------------------
+#
+# One codec writes and reads every persisted dataclass, driven by
+# ``dataclasses.fields`` and the fields' type hints, so a record's saved
+# form cannot drift from its class. Keys are written in field order.
+# A field's ``metadata["persist"]`` opts it out: ``False`` means not
+# saved (a load leaves the field's default), ``"parent"`` means not
+# saved because a load copies the same-named attribute of the
+# enclosing record. On load, an absent key takes the field's default;
+# an ``Optional`` field without one reads as None; any other absent
+# field is required.
+
+#: Records whose saved form starts with the format version.
+VERSIONED_RECORDS = (CenTraceResult, EndpointFuzzReport, ProbeReport)
+
+#: Work-unit kind -> the record its result is.
+UNIT_RECORDS = {"trace": CenTraceResult, "fuzz": EndpointFuzzReport}
+
+_ABSENT = object()
 
 
-#: Dataclass fields deliberately absent from the serialized form, by
-#: serializer-pair prefix (lintkit RP701 reads this). The raw per-TTL
-#: sweeps are inputs to classification, not results: the saved record
-#: is analysis-complete, and replaying sweeps requires re-probing.
-SERIALIZER_EXCLUDED_FIELDS = {
-    "trace_result": ("sweeps_control", "sweeps_test"),
-}
+def _optional_of(hint):
+    """``X`` for ``Optional[X]``, else None."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is not Union or type(None) not in args:
+        return None
+    if len(args) != 2:
+        return None
+    return args[0] if args[1] is type(None) else args[1]
 
 
-def trace_result_to_dict(result: CenTraceResult) -> Dict:
-    """Serialize a classified CenTrace result (analysis-complete)."""
-    def hop(info: Optional[HopInfo]) -> Optional[Dict]:
-        if info is None:
+def _encoder(hint) -> Optional[Callable]:
+    """The converter writing a ``hint`` value as JSON (None: as is)."""
+    if dataclasses.is_dataclass(hint):
+        return _codec(hint).encode
+    inner = _optional_of(hint)
+    if inner is not None:
+        item = _encoder(inner)
+        if item is None:
             return None
-        return {
-            "ttl": info.ttl,
-            "ip": info.ip,
-            "asn": info.asn,
-            "as_name": info.as_name,
-            "country": info.country,
-        }
-
-    def quote(delta: Optional[QuoteDelta]) -> Optional[Dict]:
-        if delta is None:
-            return None
-        return {
-            "tos_changed": delta.tos_changed,
-            "ip_flags_changed": delta.ip_flags_changed,
-            "ttl_delta": delta.ttl_delta,
-            "identification_changed": delta.identification_changed,
-            "length_changed": delta.length_changed,
-            "transport_bytes_quoted": delta.transport_bytes_quoted,
-            "follows_rfc792": delta.follows_rfc792,
-            "payload_modified": delta.payload_modified,
-        }
-
-    return {
-        "version": FORMAT_VERSION,
-        "endpoint_ip": result.endpoint_ip,
-        "endpoint_asn": result.endpoint_asn,
-        "test_domain": result.test_domain,
-        "protocol": result.protocol,
-        "blocked": result.blocked,
-        "valid": result.valid,
-        "degraded": result.degraded,
-        "blocking_type": result.blocking_type,
-        "terminating_ttl": result.terminating_ttl,
-        "endpoint_distance": result.endpoint_distance,
-        "blocking_hop": hop(result.blocking_hop),
-        "location_class": result.location_class,
-        "in_path": result.in_path,
-        "hops_from_endpoint": result.hops_from_endpoint,
-        "ttl_copy_detected": result.ttl_copy_detected,
-        "corrected_device_distance": result.corrected_device_distance,
-        "injected_ip_id": result.injected_ip_id,
-        "injected_ip_tos": result.injected_ip_tos,
-        "injected_ip_flags": result.injected_ip_flags,
-        "injected_ttl": result.injected_ttl,
-        "injected_initial_ttl": result.injected_initial_ttl,
-        "injected_tcp_flags": result.injected_tcp_flags,
-        "injected_tcp_window": result.injected_tcp_window,
-        "injected_tcp_options": list(result.injected_tcp_options),
-        "blockpage_fingerprint": result.blockpage_fingerprint,
-        "quote_delta": quote(result.quote_delta),
-        "control_hops": {
-            str(ttl): counts for ttl, counts in result.control_hops.items()
-        },
-    }
+        return lambda value: None if value is None else item(value)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list or origin is tuple:
+        item = _encoder(args[0])
+        if item is None:
+            return list
+        return lambda value: [item(x) for x in value]
+    if origin is dict:
+        item = _encoder(args[1])
+        if item is None:
+            if args[0] is str:
+                return dict
+            return lambda value: {str(k): x for k, x in value.items()}
+        return lambda value: {str(k): item(x) for k, x in value.items()}
+    return None
 
 
-def trace_result_from_dict(data: Dict) -> CenTraceResult:
-    """Reconstruct a CenTrace result (sweep transcripts excluded)."""
-    result = CenTraceResult(
-        endpoint_ip=data["endpoint_ip"],
-        endpoint_asn=data.get("endpoint_asn"),
-        test_domain=data["test_domain"],
-        protocol=data["protocol"],
-        blocked=data["blocked"],
-        valid=data.get("valid", True),
-        degraded=data.get("degraded", False),
-        blocking_type=data["blocking_type"],
-        terminating_ttl=data.get("terminating_ttl"),
-        endpoint_distance=data.get("endpoint_distance"),
-        location_class=data.get("location_class"),
-        in_path=data.get("in_path"),
-        hops_from_endpoint=data.get("hops_from_endpoint"),
-        ttl_copy_detected=data.get("ttl_copy_detected", False),
-        corrected_device_distance=data.get("corrected_device_distance"),
-        injected_ip_id=data.get("injected_ip_id"),
-        injected_ip_tos=data.get("injected_ip_tos"),
-        injected_ip_flags=data.get("injected_ip_flags"),
-        injected_ttl=data.get("injected_ttl"),
-        injected_initial_ttl=data.get("injected_initial_ttl"),
-        injected_tcp_flags=data.get("injected_tcp_flags"),
-        injected_tcp_window=data.get("injected_tcp_window"),
-        injected_tcp_options=tuple(data.get("injected_tcp_options", ())),
-        blockpage_fingerprint=data.get("blockpage_fingerprint"),
-    )
-    hop = data.get("blocking_hop")
-    if hop is not None:
-        result.blocking_hop = HopInfo(
-            ttl=hop["ttl"],
-            ip=hop.get("ip"),
-            asn=hop.get("asn"),
-            as_name=hop.get("as_name"),
-            country=hop.get("country"),
-        )
-    quote = data.get("quote_delta")
-    if quote is not None:
-        result.quote_delta = QuoteDelta(
-            tos_changed=quote["tos_changed"],
-            ip_flags_changed=quote["ip_flags_changed"],
-            ttl_delta=quote.get("ttl_delta", 0),
-            identification_changed=quote.get("identification_changed", False),
-            length_changed=quote.get("length_changed", False),
-            transport_bytes_quoted=quote.get("transport_bytes_quoted", 0),
-            follows_rfc792=quote.get("follows_rfc792", False),
-            payload_modified=quote.get("payload_modified", False),
-        )
-    result.control_hops = {
-        int(ttl): counts
-        for ttl, counts in data.get("control_hops", {}).items()
-    }
-    return result
+def _type_name(value) -> str:
+    return type(value).__name__
 
 
-# ---------------------------------------------------------------------------
-# CenFuzz reports
-# ---------------------------------------------------------------------------
+def _within(step: str, key: str) -> str:
+    """``key`` (relative to a nested value) as seen from its container."""
+    if not key:
+        return step
+    return step + key if key.startswith("[") else f"{step}.{key}"
 
 
-def _outcome_to_dict(outcome: FuzzProbeOutcome) -> Dict:
-    return {
-        "outcome": outcome.outcome,
-        "status_code": outcome.status_code,
-        "served_vhost": outcome.served_vhost,
-        "reprobed": outcome.reprobed,
-    }
+def _sequence_decoder(make: type, item: Optional[Callable]) -> Callable:
+    def decode(value, parent):
+        if not isinstance(value, (list, tuple)):
+            raise PersistError(f"is not a list (got {_type_name(value)})")
+        if item is None:
+            return make(value)
+        out = []
+        for index, x in enumerate(value):
+            try:
+                out.append(item(x, parent))
+            except PersistError as exc:
+                exc.key = _within(f"[{index}]", exc.key)
+                raise
+        return out if make is list else make(out)
+
+    return decode
 
 
-def _outcome_from_dict(data: Dict) -> FuzzProbeOutcome:
-    return FuzzProbeOutcome(
-        outcome=data["outcome"],
-        status_code=data.get("status_code"),
-        served_vhost=data.get("served_vhost"),
-        reprobed=data.get("reprobed", False),
-    )
-
-
-def fuzz_report_to_dict(report: EndpointFuzzReport) -> Dict:
-    return {
-        "version": FORMAT_VERSION,
-        "endpoint_ip": report.endpoint_ip,
-        "test_domain": report.test_domain,
-        "protocol": report.protocol,
-        "normal_test": _outcome_to_dict(report.normal_test),
-        "normal_control": _outcome_to_dict(report.normal_control),
-        "degraded": report.degraded,
-        "results": [
-            {
-                "strategy": r.strategy,
-                "label": r.label,
-                "successful": r.successful,
-                "unsuccessful": r.unsuccessful,
-                "circumvented": r.circumvented,
-                "degraded": r.degraded,
-                "test": _outcome_to_dict(r.test),
-                "control": _outcome_to_dict(r.control),
-            }
-            for r in report.results
-        ],
-    }
-
-
-def fuzz_report_from_dict(data: Dict) -> EndpointFuzzReport:
-    report = EndpointFuzzReport(
-        endpoint_ip=data["endpoint_ip"],
-        test_domain=data["test_domain"],
-        protocol=data["protocol"],
-        normal_test=_outcome_from_dict(data["normal_test"]),
-        normal_control=_outcome_from_dict(data["normal_control"]),
-        degraded=data.get("degraded", False),
-    )
-    for entry in data["results"]:
-        report.results.append(
-            PermutationResult(
-                endpoint_ip=report.endpoint_ip,
-                test_domain=report.test_domain,
-                strategy=entry["strategy"],
-                label=entry["label"],
-                protocol=report.protocol,
-                normal_blocked=report.normal_blocked,
-                test=_outcome_from_dict(entry["test"]),
-                control=_outcome_from_dict(entry["control"]),
-                successful=entry["successful"],
-                unsuccessful=entry["unsuccessful"],
-                circumvented=entry["circumvented"],
-                degraded=entry.get("degraded", False),
+def _dict_decoder(key_type, item: Optional[Callable]) -> Callable:
+    def decode(value, parent):
+        if not isinstance(value, dict):
+            raise PersistError(
+                f"is not an object (got {_type_name(value)})"
             )
+        if key_type is str and item is None:
+            return dict(value)
+        out = {}
+        for raw, x in value.items():
+            try:
+                key = raw if key_type is str else key_type(raw)
+            except ValueError:
+                raise PersistError(
+                    f"has a non-{key_type.__name__} key {raw!r}"
+                ) from None
+            if item is None:
+                out[key] = x
+                continue
+            try:
+                out[key] = item(x, parent)
+            except PersistError as exc:
+                exc.key = _within(f"[{raw!r}]", exc.key)
+                raise
+        return out
+
+    return decode
+
+
+def _decoder(hint) -> Optional[Callable]:
+    """The converter reading a ``hint`` value back (None: as is).
+
+    Converters take ``(value, parent)``; ``parent`` is the enclosing
+    record, for nested records that inherit fields from it. Tuples are
+    homogeneous: ``Tuple[X, ...]`` or a fixed ``Tuple[X, X]``.
+    """
+    if dataclasses.is_dataclass(hint):
+        return _codec(hint).decode
+    inner = _optional_of(hint)
+    if inner is not None:
+        item = _decoder(inner)
+        if item is None:
+            return None
+        return lambda value, parent: (
+            None if value is None else item(value, parent)
         )
-    return report
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list or origin is tuple:
+        return _sequence_decoder(origin, _decoder(args[0]))
+    if origin is dict:
+        return _dict_decoder(args[0], _decoder(args[1]))
+    return None
 
 
-# ---------------------------------------------------------------------------
-# Work-unit results (service streaming delivery)
-# ---------------------------------------------------------------------------
+def _needs_parent(hint) -> bool:
+    if dataclasses.is_dataclass(hint):
+        return bool(_codec(hint).inherited)
+    return any(_needs_parent(arg) for arg in typing.get_args(hint))
+
+
+class _RecordCodec:
+    """How one dataclass is written and read, planned once per class."""
+
+    def __init__(self, cls: type) -> None:
+        hints = typing.get_type_hints(cls)
+        self.cls = cls
+        self.versioned = cls in VERSIONED_RECORDS
+        self.writers: List[Tuple[str, Optional[Callable]]] = []
+        # (name, converter, what an absent key reads as: "default",
+        # "none" or "required")
+        self.readers: List[Tuple[str, Optional[Callable], str]] = []
+        # Read after the record exists: they hold records inheriting
+        # fields from it.
+        self.late: List[Tuple[str, Callable]] = []
+        self.inherited: List[str] = []
+        for f in dataclasses.fields(cls):
+            persist = f.metadata.get("persist", True)
+            if persist == "parent":
+                self.inherited.append(f.name)
+                continue
+            if not persist:
+                continue
+            hint = hints[f.name]
+            self.writers.append((f.name, _encoder(hint)))
+            if _needs_parent(hint):
+                self.late.append((f.name, _decoder(hint)))
+                continue
+            if f.default is not MISSING or f.default_factory is not MISSING:
+                absent = "default"
+            elif _optional_of(hint) is not None:
+                absent = "none"
+            else:
+                absent = "required"
+            self.readers.append((f.name, _decoder(hint), absent))
+
+    def encode(self, record) -> Dict:
+        out: Dict = {"version": FORMAT_VERSION} if self.versioned else {}
+        for name, encode in self.writers:
+            value = getattr(record, name)
+            out[name] = value if encode is None else encode(value)
+        return out
+
+    def decode(self, data, parent=None):
+        if not isinstance(data, dict):
+            raise PersistError(
+                f"is not an object (got {_type_name(data)})"
+            )
+        kwargs = {name: getattr(parent, name) for name in self.inherited}
+        for name, decode, absent in self.readers:
+            value = data.get(name, _ABSENT)
+            if value is _ABSENT:
+                if absent == "required":
+                    raise PersistError("is missing", key=name)
+                if absent == "none":
+                    kwargs[name] = None
+                continue
+            if decode is not None:
+                value = _convert(name, decode, value, None)
+            kwargs[name] = value
+        record = self.cls(**kwargs)
+        for name, decode in self.late:
+            value = data.get(name, _ABSENT)
+            if value is not _ABSENT:
+                setattr(record, name, _convert(name, decode, value, record))
+        return record
+
+
+def _convert(name: str, decode: Callable, value, parent):
+    try:
+        return decode(value, parent)
+    except PersistError as exc:
+        exc.key = _within(name, exc.key)
+        raise
+
+
+_CODECS: Dict[type, _RecordCodec] = {}
+
+
+def _codec(cls: type) -> _RecordCodec:
+    codec = _CODECS.get(cls)
+    if codec is None:
+        codec = _CODECS[cls] = _RecordCodec(cls)
+    return codec
+
+
+def to_dict(record) -> Dict:
+    """A persisted dataclass as a JSON-ready dict, keys in field order."""
+    return _codec(type(record)).encode(record)
+
+
+def from_dict(cls: type, data, where: str = "record"):
+    """Rebuild a ``cls`` record from :func:`to_dict` output.
+
+    A missing required key, a non-object record or a value that does
+    not convert raises :class:`PersistError` naming ``where`` and the
+    key (dotted, with ``[i]`` list indices, for nested values).
+    """
+    try:
+        return _codec(cls).decode(data)
+    except PersistError as exc:
+        subject = f"key {exc.key!r}" if exc.key else "record"
+        raise PersistError(
+            f"malformed {where}: {subject} {exc}", key=exc.key
+        ) from None
+
+
+# perfbench's workloads import these two names.
+localization_verdict_to_dict = to_dict
 
 
 def unit_result_to_dict(kind: str, result) -> Dict:
-    """Serialize one executor work-unit result by kind.
+    """Serialize one executor work-unit result.
 
     The campaign service delivers results per work unit rather than per
-    campaign; this dispatches to the same serializers ``save_campaign``
-    uses, so a streamed payload is byte-identical to the corresponding
-    record in a directly-saved campaign.
+    campaign; the record is the one ``save_campaign`` writes, so a
+    streamed payload is byte-identical to the corresponding record in a
+    directly-saved campaign. ``kind`` mirrors
+    :func:`unit_result_from_dict`; the result's own class decides its
+    form.
     """
-    if kind == "trace":
-        return trace_result_to_dict(result)
-    if kind == "fuzz":
-        return fuzz_report_to_dict(result)
-    # Programmer contract: kinds come from WorkUnit literals, not data.
-    raise ValueError(  # lint: ignore[RP901] -- not user-reachable
-        f"unknown work-unit kind {kind!r}"
-    )
+    return to_dict(result)
 
 
 def unit_result_from_dict(kind: str, payload: Dict):
     """Inverse of :func:`unit_result_to_dict` (epoch-scheduler reuse)."""
-    if kind == "trace":
-        return trace_result_from_dict(payload)
-    if kind == "fuzz":
-        return fuzz_report_from_dict(payload)
     # The kind is read back from a stored fact payload: corrupt or
     # hand-edited stores reach this, so it reports as a typed error.
-    raise PersistError(f"unknown work-unit kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# CenProbe reports
-# ---------------------------------------------------------------------------
-
-
-def probe_report_to_dict(report: ProbeReport) -> Dict:
-    return {
-        "version": FORMAT_VERSION,
-        "ip": report.ip,
-        "reachable": report.reachable,
-        "open_ports": list(report.open_ports),
-        "grabs": [
-            {
-                "port": g.port,
-                "protocol": g.protocol,
-                "banner": g.banner,
-                "response": g.response,
-            }
-            for g in report.grabs
-        ],
-        "vendor": report.vendor,
-        "matched_rule": report.matched_rule,
-        "other_identifications": list(report.other_identifications),
-        "os_features": dict(report.os_features),
-        "os_name": report.os_name,
-    }
-
-
-def probe_report_from_dict(data: Dict) -> ProbeReport:
-    report = ProbeReport(
-        ip=data["ip"],
-        reachable=data["reachable"],
-        open_ports=list(data["open_ports"]),
-        vendor=data.get("vendor"),
-        matched_rule=data.get("matched_rule"),
-        other_identifications=list(data.get("other_identifications", [])),
-        os_features=dict(data.get("os_features", {})),
-        os_name=data.get("os_name"),
-    )
-    for grab in data.get("grabs", []):
-        report.grabs.append(
-            BannerGrab(
-                port=grab["port"],
-                protocol=grab["protocol"],
-                banner=grab.get("banner", ""),
-                response=grab.get("response", ""),
-            )
-        )
-    return report
+    if kind not in UNIT_RECORDS:
+        raise PersistError(f"unknown work-unit kind {kind!r}")
+    return from_dict(UNIT_RECORDS[kind], payload, f"{kind} unit payload")
 
 
 # ---------------------------------------------------------------------------
 # Localization evidence and verdicts
 # ---------------------------------------------------------------------------
-
-
-def path_evidence_to_dict(evidence: PathEvidence) -> Dict:
-    """Serialize one localization evidence record."""
-    return {
-        "client_ip": evidence.client_ip,
-        "endpoint_ip": evidence.endpoint_ip,
-        "domain": evidence.domain,
-        "protocol": evidence.protocol,
-        "sport": evidence.sport,
-        "dport": evidence.dport,
-        "outcome": evidence.outcome,
-        "blocked": evidence.blocked,
-        "links": [list(link) for link in evidence.links],
-        "epoch": evidence.epoch,
-        "source": evidence.source,
-        "terminating_ttl": evidence.terminating_ttl,
-        "blocking_hop_ip": evidence.blocking_hop_ip,
-        "endpoint_distance": evidence.endpoint_distance,
-    }
-
-
-def path_evidence_from_dict(data: Dict) -> PathEvidence:
-    return PathEvidence(
-        client_ip=data["client_ip"],
-        endpoint_ip=data["endpoint_ip"],
-        domain=data["domain"],
-        protocol=data["protocol"],
-        sport=data["sport"],
-        dport=data["dport"],
-        outcome=data["outcome"],
-        blocked=data["blocked"],
-        links=tuple(tuple(link) for link in data["links"]),
-        epoch=data.get("epoch", 0),
-        source=data.get("source", "outcome"),
-        terminating_ttl=data.get("terminating_ttl"),
-        blocking_hop_ip=data.get("blocking_hop_ip"),
-        endpoint_distance=data.get("endpoint_distance"),
-    )
-
-
-def localization_verdict_to_dict(verdict: LocalizationVerdict) -> Dict:
-    """Serialize one localizer claim."""
-    return {
-        "method": verdict.method,
-        "endpoint_ip": verdict.endpoint_ip,
-        "domain": verdict.domain,
-        "candidate_links": [list(link) for link in verdict.candidate_links],
-        "hop_low": verdict.hop_low,
-        "hop_high": verdict.hop_high,
-        "confidence": verdict.confidence,
-        "evidence_count": verdict.evidence_count,
-        "detail": verdict.detail,
-    }
-
-
-def localization_verdict_from_dict(data: Dict) -> LocalizationVerdict:
-    return LocalizationVerdict(
-        method=data["method"],
-        endpoint_ip=data["endpoint_ip"],
-        domain=data["domain"],
-        candidate_links=tuple(
-            tuple(link) for link in data["candidate_links"]
-        ),
-        hop_low=data.get("hop_low"),
-        hop_high=data.get("hop_high"),
-        confidence=data["confidence"],
-        evidence_count=data["evidence_count"],
-        detail=data.get("detail", ""),
-    )
 
 
 def save_localization(
@@ -463,11 +387,11 @@ def save_localization(
     counts = {
         "verdicts": _write_jsonl(
             directory / "verdicts.jsonl",
-            (localization_verdict_to_dict(v) for v in verdicts),
+            (to_dict(v) for v in verdicts),
         ),
         "evidence": _write_jsonl(
             directory / "evidence.jsonl",
-            (path_evidence_to_dict(e) for e in evidence),
+            (to_dict(e) for e in evidence),
         ),
     }
     if xval is not None:
@@ -484,20 +408,14 @@ def save_localization(
     return counts
 
 
+@dataclass
 class LoadedLocalization:
     """A localization run reloaded from disk."""
 
-    def __init__(
-        self,
-        meta: Dict,
-        verdicts: List[LocalizationVerdict],
-        evidence: List[PathEvidence],
-        xval: Optional[Dict] = None,
-    ) -> None:
-        self.meta = meta
-        self.verdicts = verdicts
-        self.evidence = evidence
-        self.xval = xval
+    meta: Dict
+    verdicts: List[LocalizationVerdict]
+    evidence: List[PathEvidence]
+    xval: Optional[Dict] = None
 
     def by_method(self) -> Dict[str, List[LocalizationVerdict]]:
         grouped: Dict[str, List[LocalizationVerdict]] = {}
@@ -514,16 +432,13 @@ def load_localization(directory: Union[str, Path]) -> LoadedLocalization:
     if kind != "localization":
         raise PersistError(
             f"{directory} holds a {kind!r} run, not a localization run "
-            "(point repro localize --load at a save_localization dir)"
+            "(load_localization reads what 'repro localize --out DIR' "
+            "writes)"
         )
-    verdicts = [
-        localization_verdict_from_dict(record)
-        for record in _read_jsonl(directory / "verdicts.jsonl")
-    ]
-    evidence = [
-        path_evidence_from_dict(record)
-        for record in _read_jsonl(directory / "evidence.jsonl")
-    ]
+    verdicts = _load_records(
+        directory / "verdicts.jsonl", LocalizationVerdict
+    )
+    evidence = _load_records(directory / "evidence.jsonl", PathEvidence)
     xval_path = directory / "xval.json"
     xval = _read_json(xval_path, "xval report") if xval_path.exists() else None
     return LoadedLocalization(meta, verdicts, evidence, xval)
@@ -543,31 +458,39 @@ def _write_jsonl(path: Path, records: Iterable[Dict]) -> int:
     return count
 
 
-def read_jsonl(path: Path) -> List[Dict]:
-    """Hardened JSONL reader: missing file -> [], corrupt -> PersistError.
+def read_jsonl(path: Path) -> Iterator[Tuple[int, object]]:
+    """Hardened JSONL reader: ``(line number, value)`` per non-blank line.
 
-    Public because the fact store (``repro.store``) builds on the same
-    hardened readers as campaign persistence.
+    A missing file yields nothing; a corrupt line raises PersistError
+    naming the file and line. Public because the fact store
+    (``repro.store``) builds on the same hardened readers as campaign
+    persistence.
     """
-    return _read_jsonl(path)
-
-
-def _read_jsonl(path: Path) -> List[Dict]:
     if not path.exists():
-        return []
-    records = []
+        return
     with path.open() as handle:
         for lineno, line in enumerate(handle, 1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                value = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise PersistError(
                     f"corrupt record in {path} at line {lineno}: {exc} "
                     "(truncated write?)"
                 ) from None
-    return records
+            yield lineno, value
+
+
+def _where(path: Path, lineno: int) -> str:
+    return f"record in {path} at line {lineno}"
+
+
+def _load_records(path: Path, cls: type) -> List:
+    return [
+        from_dict(cls, record, _where(path, lineno))
+        for lineno, record in read_jsonl(path)
+    ]
 
 
 def save_campaign(campaign, directory: Union[str, Path]) -> Dict[str, int]:
@@ -585,7 +508,7 @@ def save_campaign(campaign, directory: Union[str, Path]) -> Dict[str, int]:
         "traces": _write_jsonl(
             directory / "traces.jsonl",
             (
-                {**trace_result_to_dict(r), "vantage": vantage}
+                {**to_dict(r), "vantage": vantage}
                 for vantage, results in (
                     ("remote", campaign.remote_results),
                     ("in-country", campaign.in_country_results),
@@ -595,11 +518,11 @@ def save_campaign(campaign, directory: Union[str, Path]) -> Dict[str, int]:
         ),
         "fuzz": _write_jsonl(
             directory / "fuzz.jsonl",
-            (fuzz_report_to_dict(r) for r in campaign.fuzz_reports),
+            (to_dict(r) for r in campaign.fuzz_reports),
         ),
         "banners": _write_jsonl(
             directory / "banners.jsonl",
-            (probe_report_to_dict(r) for r in campaign.probe_reports.values()),
+            (to_dict(r) for r in campaign.probe_reports.values()),
         ),
     }
     run_report = getattr(campaign, "run_report", None)
@@ -681,24 +604,16 @@ def save_service_run(
     return counts
 
 
+@dataclass
 class LoadedCampaign:
     """Measurement data reloaded from disk (analysis-ready)."""
 
-    def __init__(
-        self,
-        meta: Dict,
-        remote_results: List[CenTraceResult],
-        in_country_results: List[CenTraceResult],
-        fuzz_reports: List[EndpointFuzzReport],
-        probe_reports: Dict[str, ProbeReport],
-        run_report: Optional[RunReport] = None,
-    ) -> None:
-        self.meta = meta
-        self.remote_results = remote_results
-        self.in_country_results = in_country_results
-        self.fuzz_reports = fuzz_reports
-        self.probe_reports = probe_reports
-        self.run_report = run_report
+    meta: Dict
+    remote_results: List[CenTraceResult]
+    in_country_results: List[CenTraceResult]
+    fuzz_reports: List[EndpointFuzzReport]
+    probe_reports: Dict[str, ProbeReport]
+    run_report: Optional[RunReport] = None
 
     def blocked_remote(self) -> List[CenTraceResult]:
         return [r for r in self.remote_results if r.blocked and r.valid]
@@ -707,10 +622,10 @@ class LoadedCampaign:
 def load_campaign(directory: Union[str, Path]) -> LoadedCampaign:
     """Reload a campaign saved by :func:`save_campaign`.
 
-    Raises :class:`PersistError` on missing/corrupt files, on
-    directories of a different kind (e.g. ``save_service_run`` output),
-    and on records whose ``vantage`` tag is missing or unknown — a
-    typo'd vantage must not silently land in the remote bucket.
+    Raises :class:`PersistError` on missing/corrupt files or records,
+    on directories of a different kind (e.g. ``save_service_run``
+    output), and on records whose ``vantage`` tag is missing or unknown
+    — a typo'd vantage must not silently land in the remote bucket.
     """
     directory = Path(directory)
     meta = _read_json(directory / "meta.json", "campaign meta")
@@ -724,8 +639,8 @@ def load_campaign(directory: Union[str, Path]) -> LoadedCampaign:
     remote: List[CenTraceResult] = []
     in_country: List[CenTraceResult] = []
     traces_path = directory / "traces.jsonl"
-    for index, record in enumerate(_read_jsonl(traces_path), 1):
-        result = trace_result_from_dict(record)
+    for lineno, record in read_jsonl(traces_path):
+        result = from_dict(CenTraceResult, record, _where(traces_path, lineno))
         vantage = record.get("vantage")
         if vantage == "in-country":
             in_country.append(result)
@@ -733,17 +648,14 @@ def load_campaign(directory: Union[str, Path]) -> LoadedCampaign:
             remote.append(result)
         else:
             raise PersistError(
-                f"record {index} in {traces_path} has "
+                f"record {lineno} in {traces_path} has "
                 f"{'no vantage' if vantage is None else f'unknown vantage {vantage!r}'}"
                 f"; expected one of {VANTAGE_VALUES}"
             )
-    fuzz = [
-        fuzz_report_from_dict(record)
-        for record in _read_jsonl(directory / "fuzz.jsonl")
-    ]
+    fuzz = _load_records(directory / "fuzz.jsonl", EndpointFuzzReport)
     banners = {
-        record["ip"]: probe_report_from_dict(record)
-        for record in _read_jsonl(directory / "banners.jsonl")
+        report.ip: report
+        for report in _load_records(directory / "banners.jsonl", ProbeReport)
     }
     # report.json appeared in FORMAT_VERSION 2; version-1 directories
     # (and version-2 runs without telemetry) simply have none.

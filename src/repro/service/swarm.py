@@ -169,7 +169,7 @@ def _verify_against_direct(
     one work key carried the same bytes, and (b) those bytes equal what
     a fresh serial toolset produces for the same unit.
     """
-    from ..persist import unit_result_to_dict
+    from ..persist import to_dict
 
     world = WorldKey(
         country=swarm.country,
@@ -193,9 +193,7 @@ def _verify_against_direct(
             direct = toolset.run_trace(result.unit)
         else:
             direct = toolset.run_fuzz(result.unit)
-        direct_blob = json.dumps(
-            unit_result_to_dict(result.kind, direct), sort_keys=True
-        )
+        direct_blob = json.dumps(to_dict(direct), sort_keys=True)
         if direct_blob != blob:
             return False
     return True

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from ..persist import PersistError, read_jsonl as _read_jsonl
+from ..persist import PersistError, read_jsonl
 from ..telemetry import NULL_TELEMETRY
 from .records import Fact
 
@@ -88,23 +88,25 @@ class FactStore:
     def _load(self) -> None:
         epochs_path = self.directory / self.EPOCHS
         manifest = []
-        for record in _read_jsonl(epochs_path):
+        for lineno, record in read_jsonl(epochs_path):
             try:
                 manifest.append(int(record["epoch"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise PersistError(
-                    f"corrupt epoch manifest {epochs_path}: {exc}"
+                    f"corrupt epoch manifest {epochs_path} at line "
+                    f"{lineno}: {exc}"
                 ) from None
         for epoch in manifest:
             self._by_epoch.setdefault(epoch, set())
         facts_path = self.directory / self.FACTS
-        for record in _read_jsonl(facts_path):
+        for lineno, record in read_jsonl(facts_path):
             try:
                 epoch = int(record["epoch"])
                 fact = Fact.from_dict(record)
             except (KeyError, TypeError, ValueError) as exc:
                 raise PersistError(
-                    f"corrupt fact record in {facts_path}: {exc}"
+                    f"corrupt fact record in {facts_path} at line "
+                    f"{lineno}: {exc}"
                 ) from None
             if epoch not in self._by_epoch:
                 raise PersistError(

@@ -4,18 +4,17 @@ import json
 
 import pytest
 
+from repro.core.cenfuzz.runner import EndpointFuzzReport
+from repro.core.cenprobe.scanner import ProbeReport
+from repro.core.centrace.results import CenTraceResult
 from repro.persist import (
     PersistError,
     UnitCache,
-    fuzz_report_from_dict,
-    fuzz_report_to_dict,
+    from_dict,
     load_campaign,
-    probe_report_from_dict,
-    probe_report_to_dict,
     save_campaign,
     save_service_run,
-    trace_result_from_dict,
-    trace_result_to_dict,
+    to_dict,
     unit_cache_key,
 )
 
@@ -31,7 +30,7 @@ def az_campaign():
 class TestTraceRoundTrip:
     def test_blocked_result_round_trips(self, az_campaign):
         original = az_campaign.blocked_remote()[0]
-        restored = trace_result_from_dict(trace_result_to_dict(original))
+        restored = from_dict(CenTraceResult, to_dict(original))
         assert restored.endpoint_ip == original.endpoint_ip
         assert restored.blocking_type == original.blocking_type
         assert restored.blocking_hop.ip == original.blocking_hop.ip
@@ -44,19 +43,19 @@ class TestTraceRoundTrip:
         original = next(
             r for r in az_campaign.blocked_remote() if r.quote_delta is not None
         )
-        restored = trace_result_from_dict(trace_result_to_dict(original))
+        restored = from_dict(CenTraceResult, to_dict(original))
         assert restored.quote_delta.tos_changed == original.quote_delta.tos_changed
         assert restored.quote_delta.follows_rfc792 == original.quote_delta.follows_rfc792
 
     def test_serialization_is_json_safe(self, az_campaign):
         for result in az_campaign.remote_results[:20]:
-            json.dumps(trace_result_to_dict(result))
+            json.dumps(to_dict(result))
 
 
 class TestFuzzRoundTrip:
     def test_report_round_trips(self, az_campaign):
         original = az_campaign.fuzz_reports[0]
-        restored = fuzz_report_from_dict(fuzz_report_to_dict(original))
+        restored = from_dict(EndpointFuzzReport, to_dict(original))
         assert restored.endpoint_ip == original.endpoint_ip
         assert restored.normal_blocked == original.normal_blocked
         assert len(restored.results) == len(original.results)
@@ -66,7 +65,7 @@ class TestFuzzRoundTrip:
 class TestProbeRoundTrip:
     def test_report_round_trips(self, az_campaign):
         original = next(iter(az_campaign.probe_reports.values()))
-        restored = probe_report_from_dict(probe_report_to_dict(original))
+        restored = from_dict(ProbeReport, to_dict(original))
         assert restored.ip == original.ip
         assert restored.open_ports == original.open_ports
         assert restored.vendor == original.vendor
@@ -229,6 +228,98 @@ class TestPersistErrors:
         with pytest.raises(PersistError, match="unknown work-unit kind"):
             unit_result_from_dict("banner", {})
 
+    @staticmethod
+    def rewrite(path, lineno, edit):
+        """Replace record ``lineno`` (1-based) of ``path`` by ``edit(record)``."""
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = json.dumps(edit(json.loads(lines[lineno - 1])))
+        path.write_text("\n".join(lines) + "\n")
+
+    @staticmethod
+    def without(record, key):
+        del record[key]
+        return record
+
+    def test_missing_required_key_names_file_line_and_key(
+        self, az_campaign, tmp_path
+    ):
+        save_campaign(az_campaign, tmp_path / "run")
+        traces = tmp_path / "run" / "traces.jsonl"
+        self.rewrite(traces, 2, lambda r: self.without(r, "test_domain"))
+        with pytest.raises(PersistError) as caught:
+            load_campaign(tmp_path / "run")
+        message = str(caught.value)
+        assert str(traces) in message and "line 2" in message
+        assert "key 'test_domain' is missing" in message
+
+    def test_array_record_rejected(self, az_campaign, tmp_path):
+        save_campaign(az_campaign, tmp_path / "run")
+        fuzz = tmp_path / "run" / "fuzz.jsonl"
+        self.rewrite(fuzz, 1, lambda r: [r])
+        with pytest.raises(PersistError, match=r"line 1: record is not an object \(got list\)"):
+            load_campaign(tmp_path / "run")
+
+    def test_blocking_hop_without_ttl_rejected(self, az_campaign, tmp_path):
+        save_campaign(az_campaign, tmp_path / "run")
+        traces = tmp_path / "run" / "traces.jsonl"
+        records = [json.loads(line) for line in traces.read_text().splitlines()]
+        lineno = next(
+            i for i, r in enumerate(records, 1) if r["blocking_hop"] is not None
+        )
+        self.rewrite(
+            traces, lineno, lambda r: {**r, "blocking_hop": {"ip": "10.0.0.1"}}
+        )
+        with pytest.raises(
+            PersistError, match=f"line {lineno}: key 'blocking_hop.ttl' is missing"
+        ):
+            load_campaign(tmp_path / "run")
+
+    def test_banner_without_ip_rejected(self, az_campaign, tmp_path):
+        save_campaign(az_campaign, tmp_path / "run")
+        banners = tmp_path / "run" / "banners.jsonl"
+        self.rewrite(banners, 1, lambda r: self.without(r, "ip"))
+        with pytest.raises(PersistError, match="banners.jsonl at line 1: key 'ip' is missing"):
+            load_campaign(tmp_path / "run")
+
+    def test_non_list_links_rejected(self, tmp_path):
+        from repro.persist import load_localization, save_localization
+
+        save_localization([_verdict()], [_evidence()], tmp_path / "loc")
+        evidence = tmp_path / "loc" / "evidence.jsonl"
+        self.rewrite(evidence, 1, lambda r: {**r, "links": 5})
+        with pytest.raises(
+            PersistError, match=r"key 'links' is not a list \(got int\)"
+        ):
+            load_localization(tmp_path / "loc")
+
+    def test_malformed_unit_payload_is_typed_error(self, az_campaign):
+        from repro.persist import unit_result_from_dict
+
+        payload = to_dict(az_campaign.fuzz_reports[0])
+        payload["results"][0]["test"] = "response"
+        with pytest.raises(
+            PersistError,
+            match=r"fuzz unit payload: key 'results\[0\]\.test' is not an object",
+        ):
+            unit_result_from_dict("fuzz", payload)
+
+    def test_cli_reports_malformed_record_on_one_line(
+        self, az_campaign, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        save_campaign(az_campaign, tmp_path / "run")
+        traces = tmp_path / "run" / "traces.jsonl"
+        self.rewrite(traces, 1, lambda r: self.without(r, "test_domain"))
+        code = main([
+            "facts", "extract", "--run", str(tmp_path / "run"),
+            "--store", str(tmp_path / "facts"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "key 'test_domain' is missing" in err[0]
+
     def test_service_run_directory_rejected(self, tmp_path):
         from repro.telemetry import RunReport
 
@@ -356,174 +447,34 @@ class TestUnitCache:
         assert base == unit_cache_key(["AZ", 7, 0.35, None], ["trace", 2, "u"])
 
 
-class TestFieldsDrivenTraceRoundTrip:
-    """Walks dataclasses.fields(CenTraceResult) so a newly added field
-    that the serializer ignores fails here by name, not by luck."""
+def _evidence():
+    from repro.localize import PathEvidence
 
-    # Sweep transcripts are summarized, not archived — read straight
-    # from the declared exclusion table so this test and the RP701
-    # static check can never disagree about what is exempt.
-    from repro.persist import SERIALIZER_EXCLUDED_FIELDS
-
-    EXCLUDED = set(SERIALIZER_EXCLUDED_FIELDS["trace_result"])
-
-    def variant_result(self):
-        import dataclasses
-
-        from repro.core.centrace.results import CenTraceResult, HopInfo
-        from repro.netmodel.icmp import QuoteDelta
-
-        variants = {
-            "endpoint_ip": "10.9.9.9",
-            "endpoint_asn": 64501,
-            "test_domain": "variant.example",
-            "protocol": "https",
-            "blocked": True,
-            "valid": False,
-            "degraded": True,
-            "blocking_type": "RST",
-            "terminating_ttl": 9,
-            "endpoint_distance": 13,
-            "blocking_hop": HopInfo(
-                ttl=5, ip="10.0.0.5", asn=64500,
-                as_name="VariantNet", country="AZ",
-            ),
-            "location_class": "in-path",
-            "in_path": True,
-            "hops_from_endpoint": 3,
-            "ttl_copy_detected": True,
-            "corrected_device_distance": 4,
-            "injected_ip_id": 54321,
-            "injected_ip_tos": 8,
-            "injected_ip_flags": 2,
-            "injected_ttl": 61,
-            "injected_initial_ttl": 64,
-            "injected_tcp_flags": 0x14,
-            "injected_tcp_window": 512,
-            "injected_tcp_options": (2, 4, 8),
-            "blockpage_fingerprint": "generic_region_block",
-            "quote_delta": QuoteDelta(
-                tos_changed=True, ip_flags_changed=True, ttl_delta=2,
-                identification_changed=True, length_changed=True,
-                transport_bytes_quoted=28, follows_rfc792=True,
-                payload_modified=True,
-            ),
-            "control_hops": {3: {"10.0.0.3": 2}},
-        }
-        names = {
-            f.name for f in dataclasses.fields(CenTraceResult)
-        } - self.EXCLUDED
-        missing = names - set(variants)
-        assert not missing, (
-            f"add round-trip variants for new CenTraceResult "
-            f"field(s): {sorted(missing)}"
-        )
-        return CenTraceResult(**variants), names
-
-    def test_every_field_round_trips(self):
-        original, names = self.variant_result()
-        restored = trace_result_from_dict(trace_result_to_dict(original))
-        for name in sorted(names):
-            assert getattr(restored, name) == getattr(original, name), name
+    return PathEvidence(
+        client_ip="10.9.0.1", endpoint_ip="10.0.1.1",
+        domain="variant.example", protocol="https", sport=40123,
+        dport=443, outcome="RST", blocked=True,
+        links=(("c", "i"), ("i", "a")), epoch=4, source="centrace",
+        terminating_ttl=3, blocking_hop_ip="10.0.0.3", endpoint_distance=7,
+    )
 
 
-class TestLocalizationRoundTrip:
-    """Fields-driven round-trips for the localization serializers: a
-    new field either round-trips or fails here by name."""
+def _verdict():
+    from repro.localize import LocalizationVerdict
 
-    def variant_evidence(self):
-        import dataclasses
-
-        from repro.localize import PathEvidence
-
-        variants = {
-            "client_ip": "10.9.0.1",
-            "endpoint_ip": "10.0.1.1",
-            "domain": "variant.example",
-            "protocol": "https",
-            "sport": 40123,
-            "dport": 443,
-            "outcome": "RST",
-            "blocked": True,
-            "links": (("c", "i"), ("i", "a")),
-            "epoch": 4,
-            "source": "centrace",
-            "terminating_ttl": 3,
-            "blocking_hop_ip": "10.0.0.3",
-            "endpoint_distance": 7,
-        }
-        names = {f.name for f in dataclasses.fields(PathEvidence)}
-        missing = names - set(variants)
-        assert not missing, (
-            f"add round-trip variants for new PathEvidence "
-            f"field(s): {sorted(missing)}"
-        )
-        return PathEvidence(**variants), names
-
-    def variant_verdict(self):
-        import dataclasses
-
-        from repro.localize import LocalizationVerdict
-
-        variants = {
-            "method": "tomography",
-            "endpoint_ip": "10.0.1.1",
-            "domain": "variant.example",
-            "candidate_links": (("i", "a"), ("a", "j")),
-            "hop_low": 1,
-            "hop_high": 2,
-            "confidence": 0.75,
-            "evidence_count": 24,
-            "detail": "blocked=12/24 epochs=5",
-        }
-        names = {f.name for f in dataclasses.fields(LocalizationVerdict)}
-        missing = names - set(variants)
-        assert not missing, (
-            f"add round-trip variants for new LocalizationVerdict "
-            f"field(s): {sorted(missing)}"
-        )
-        return LocalizationVerdict(**variants), names
-
-    def test_every_evidence_field_round_trips(self):
-        from repro.persist import path_evidence_from_dict, path_evidence_to_dict
-
-        original, names = self.variant_evidence()
-        data = json.loads(json.dumps(path_evidence_to_dict(original)))
-        restored = path_evidence_from_dict(data)
-        for name in sorted(names):
-            assert getattr(restored, name) == getattr(original, name), name
-
-    def test_every_verdict_field_round_trips(self):
-        from repro.persist import (
-            localization_verdict_from_dict,
-            localization_verdict_to_dict,
-        )
-
-        original, names = self.variant_verdict()
-        data = json.loads(json.dumps(localization_verdict_to_dict(original)))
-        restored = localization_verdict_from_dict(data)
-        for name in sorted(names):
-            assert getattr(restored, name) == getattr(original, name), name
-
-    def test_links_restore_as_tuples(self):
-        from repro.persist import path_evidence_from_dict, path_evidence_to_dict
-
-        original, _ = self.variant_evidence()
-        restored = path_evidence_from_dict(
-            json.loads(json.dumps(path_evidence_to_dict(original)))
-        )
-        assert restored.links == original.links
-        assert isinstance(restored.links, tuple)
-        assert all(isinstance(link, tuple) for link in restored.links)
-        assert restored.link_set() == original.link_set()
+    return LocalizationVerdict(
+        method="tomography", endpoint_ip="10.0.1.1",
+        domain="variant.example", candidate_links=(("i", "a"), ("a", "j")),
+        hop_low=1, hop_high=2, confidence=0.75, evidence_count=24,
+        detail="blocked=12/24 epochs=5",
+    )
 
 
 class TestSaveLoadLocalization:
     def run_dir(self, tmp_path):
         from repro.persist import save_localization
 
-        evidence, _ = TestLocalizationRoundTrip().variant_evidence()
-        verdict, _ = TestLocalizationRoundTrip().variant_verdict()
+        evidence, verdict = _evidence(), _verdict()
         xval = {"methods": {"tomography": {"accuracy": 1.0}}}
         counts = save_localization(
             [verdict], [evidence], tmp_path / "loc", xval=xval
@@ -540,6 +491,8 @@ class TestSaveLoadLocalization:
         assert len(run.verdicts) == 1 and len(run.evidence) == 1
         assert run.by_method()["tomography"][0].hop_low == 1
         assert run.xval["methods"]["tomography"]["accuracy"] == 1.0
+        assert run.verdicts == [_verdict()]
+        assert run.evidence == [_evidence()]
 
     def test_missing_directory_raises_persist_error(self, tmp_path):
         from repro.persist import load_localization
@@ -555,7 +508,9 @@ class TestSaveLoadLocalization:
         (directory / "meta.json").write_text(
             json.dumps({"version": 3, "kind": "service-run"})
         )
-        with pytest.raises(PersistError, match="service-run"):
+        with pytest.raises(
+            PersistError, match="service-run.*repro localize --out"
+        ):
             load_localization(directory)
 
     def test_corrupt_verdicts_raise_persist_error(self, tmp_path):

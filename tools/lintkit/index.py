@@ -8,10 +8,6 @@ phase-2 cross-module passes need:
   literal constants, plus an import table mapping every local binding
   to the absolute dotted name it refers to (relative imports resolved
   against the module's own dotted name);
-* **dataclass field inventories** — ``@dataclass`` classes with their
-  annotated fields in declaration order, including fields inherited
-  from (possibly cross-module) dataclass bases and ``slots=True``
-  variants;
 * **telemetry call sites** — every ``count(...)`` / ``span(...)`` /
   ``event(kind=...)`` / ``add_virtual(...)`` / ``add_wall(...)`` call
   on a telemetry-shaped receiver, with its name literal(s) when the
@@ -59,14 +55,12 @@ def resolve_relative(
 
 @dataclass(frozen=True)
 class ClassInfo:
-    """One top-level class: bases as written, dataclass flag, fields."""
+    """One top-level class and its bases as written."""
 
     name: str
     module: str
     lineno: int
     bases: Tuple[str, ...]  # dotted source text of each base
-    is_dataclass: bool
-    own_fields: Tuple[str, ...]  # AnnAssign names, declaration order
 
 
 @dataclass(frozen=True)
@@ -109,12 +103,6 @@ def _dotted(node: ast.AST) -> Optional[str]:
         base = _dotted(node.value)
         return f"{base}.{node.attr}" if base else None
     return None
-
-
-def _is_dataclass_decorator(node: ast.AST) -> bool:
-    target = node.func if isinstance(node, ast.Call) else node
-    name = _dotted(target)
-    return name is not None and name.split(".")[-1] == "dataclass"
 
 
 def _is_telemetry_receiver(node: ast.AST) -> bool:
@@ -188,25 +176,11 @@ class _ModuleIndexer(ast.NodeVisitor):
             bases = tuple(
                 name for name in (_dotted(b) for b in node.bases) if name
             )
-            is_dc = any(
-                _is_dataclass_decorator(d) for d in node.decorator_list
-            )
-            fields: List[str] = []
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    note = ast.dump(stmt.annotation)
-                    if "ClassVar" in note or "InitVar" in note:
-                        continue
-                    fields.append(stmt.target.id)
             self.info.classes[node.name] = ClassInfo(
                 name=node.name,
                 module=self.module,
                 lineno=node.lineno,
                 bases=bases,
-                is_dataclass=is_dc,
-                own_fields=tuple(fields),
             )
         self._scope.append(node.name)
         self.generic_visit(node)
@@ -334,59 +308,6 @@ class ProjectIndex:
             break
         return target
 
-    def find_class(
-        self, module: str, dotted: str
-    ) -> Optional[ClassInfo]:
-        resolved = self.resolve_symbol(module, dotted)
-        if resolved is None:
-            # A class used without an import is either local (handled by
-            # resolve_symbol) or truly unknown.
-            return None
-        owner, _, name = resolved.rpartition(".")
-        info = self.modules.get(owner)
-        if info is None:
-            return None
-        return info.classes.get(name)
-
-    def dataclass_fields(
-        self, module: str, dotted: str
-    ) -> Optional[Tuple[str, ...]]:
-        """Full field inventory of a dataclass, inherited fields first.
-
-        Mirrors ``dataclasses.fields`` ordering: base-class fields in
-        base order, then fields first declared by the class itself;
-        a re-annotated inherited field keeps its original position.
-        Returns None when the class is unknown or not a dataclass.
-        """
-        info = self._resolved_class(module, dotted)
-        if info is None or not info.is_dataclass:
-            return None
-        ordered: List[str] = []
-
-        def merge(cls_info: ClassInfo, depth: int) -> None:
-            if depth > 8:
-                return
-            for base in cls_info.bases:
-                base_info = self._resolved_class(cls_info.module, base)
-                if base_info is not None and base_info.is_dataclass:
-                    merge(base_info, depth + 1)
-            for name in cls_info.own_fields:
-                if name not in ordered:
-                    ordered.append(name)
-
-        merge(info, 0)
-        return tuple(ordered)
-
-    def _resolved_class(
-        self, module: str, dotted: str
-    ) -> Optional[ClassInfo]:
-        # Annotations may be quoted strings: 'CenTraceResult'.
-        dotted = dotted.strip("'\"")
-        info = self.modules.get(module)
-        if info is not None and dotted in info.classes:
-            return info.classes[dotted]
-        return self.find_class(module, dotted)
-
     # -- determinism ------------------------------------------------
 
     def to_dict(self) -> Dict:
@@ -405,8 +326,6 @@ class ProjectIndex:
                         cname: {
                             "lineno": c.lineno,
                             "bases": list(c.bases),
-                            "is_dataclass": c.is_dataclass,
-                            "own_fields": list(c.own_fields),
                         }
                         for cname, c in sorted(info.classes.items())
                     },
