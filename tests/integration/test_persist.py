@@ -470,6 +470,36 @@ def _verdict():
     )
 
 
+class TestLocalizationRoundTrip:
+    """Field-by-field round-trips of the localization records through
+    the codec and JSON text."""
+
+    @staticmethod
+    def round_trip(record):
+        return from_dict(type(record), json.loads(json.dumps(to_dict(record))))
+
+    def assert_every_field_round_trips(self, original):
+        import dataclasses
+
+        restored = self.round_trip(original)
+        for f in dataclasses.fields(original):
+            assert getattr(restored, f.name) == getattr(original, f.name), f.name
+
+    def test_every_evidence_field_round_trips(self):
+        self.assert_every_field_round_trips(_evidence())
+
+    def test_every_verdict_field_round_trips(self):
+        self.assert_every_field_round_trips(_verdict())
+
+    def test_links_restore_as_tuples(self):
+        original = _evidence()
+        restored = self.round_trip(original)
+        assert restored.links == original.links
+        assert isinstance(restored.links, tuple)
+        assert all(isinstance(link, tuple) for link in restored.links)
+        assert restored.link_set() == original.link_set()
+
+
 class TestSaveLoadLocalization:
     def run_dir(self, tmp_path):
         from repro.persist import save_localization
