@@ -51,7 +51,7 @@ BLOCKED_OUTCOMES = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class FuzzProbeOutcome:
     """What one fuzzed request observed."""
 

@@ -30,7 +30,7 @@ PROTO_TLS = "tls"
 PROTO_DNS = "dns"
 
 
-@dataclass
+@dataclass(slots=True)
 class ResponseSummary:
     """One packet received in reaction to a probe."""
 
@@ -51,7 +51,7 @@ class ResponseSummary:
         return self.kind == "icmp"
 
 
-@dataclass
+@dataclass(slots=True)
 class ProbeObservation:
     """Everything observed for one TTL-limited probe."""
 

@@ -102,35 +102,37 @@ def build_probe_payload(domain: str, protocol: str) -> bytes:
 
 
 def _summarize(packet: Packet) -> ResponseSummary:
-    if packet.is_icmp:
+    # Positional, in ResponseSummary's field order: kind, src_ip,
+    # arrival_ttl, tcp_flags, payload, quote, ip_id, ip_tos, ip_flags,
+    # tcp_window, tcp_options.
+    ip = packet.ip
+    if packet.icmp is not None:
+        return ResponseSummary("icmp", ip.src, ip.ttl, 0, b"", packet.icmp.quote)
+    if packet.udp is not None:
         return ResponseSummary(
-            kind="icmp",
-            src_ip=packet.ip.src,
-            arrival_ttl=packet.ip.ttl,
-            quote=packet.icmp.quote,
-        )
-    if packet.is_udp:
-        return ResponseSummary(
-            kind="udp",
-            src_ip=packet.ip.src,
-            arrival_ttl=packet.ip.ttl,
-            payload=packet.udp.payload,
-            ip_id=packet.ip.identification,
-            ip_tos=packet.ip.tos,
-            ip_flags=packet.ip.flags,
+            "udp",
+            ip.src,
+            ip.ttl,
+            0,
+            packet.udp.payload,
+            b"",
+            ip.identification,
+            ip.tos,
+            ip.flags,
         )
     segment = packet.tcp
     return ResponseSummary(
-        kind="tcp",
-        src_ip=packet.ip.src,
-        arrival_ttl=packet.ip.ttl,
-        tcp_flags=segment.flags,
-        payload=segment.payload,
-        ip_id=packet.ip.identification,
-        ip_tos=packet.ip.tos,
-        ip_flags=packet.ip.flags,
-        tcp_window=segment.window,
-        tcp_options=segment.option_kinds(),
+        "tcp",
+        ip.src,
+        ip.ttl,
+        segment.flags,
+        segment.payload,
+        b"",
+        ip.identification,
+        ip.tos,
+        ip.flags,
+        segment.window,
+        segment.option_kinds(),
     )
 
 
@@ -289,13 +291,15 @@ class CenTrace:
             retry_backoff=self.config.retry_backoff,
         )
         conn.close()
-        observation = ProbeObservation(
-            ttl=ttl,
-            sent_bytes=result.sent_bytes,
-            retries_used=result.retries_used,
+        # Positional: ttl, sent_bytes, responses, handshake_failed,
+        # retries_used.
+        return ProbeObservation(
+            ttl,
+            result.sent_bytes,
+            [_summarize(p) for p in result.received],
+            False,
+            result.retries_used,
         )
-        observation.responses = [_summarize(p) for p in result.received]
-        return observation
 
     def _probe_dns(
         self, endpoint_ip: str, domain: str, ttl: int
@@ -334,11 +338,12 @@ class CenTrace:
             if attempt < cfg.probe_retries and wait > 0:
                 self.sim.advance(wait)
                 wait *= cfg.retry_backoff
-        observation = ProbeObservation(
-            ttl=ttl, sent_bytes=sent_bytes, retries_used=retries_used
+        return ProbeObservation(
+            ttl,
+            sent_bytes,
+            [_summarize(p) for p in received],
+            retries_used=retries_used,
         )
-        observation.responses = [_summarize(p) for p in received]
-        return observation
 
     # -- terminating-response logic ----------------------------------------
 

@@ -111,6 +111,11 @@ class CensorshipDevice(LinkDevice):
         self._parsed: Dict[bytes, _Outcome] = {}
         self._parsed_quirks = quirks
         self._parsed_blocklist = blocklist
+        # note -> the one drop verdict carrying it. Verdicts are frozen
+        # and ``name``/``in_path`` are fixed at construction, so the
+        # entries stay valid for the device's life (bounded by its
+        # blocklist: one note per rule, plus "residual").
+        self._drop_verdicts: Dict[str, Verdict] = {}
 
     # ------------------------------------------------------------------
 
@@ -240,11 +245,16 @@ class CensorshipDevice(LinkDevice):
         flow: FlowKey,
         action: Optional[BlockAction] = None,
     ) -> Verdict:
-        note = f"{self.name}:{note}"
         if action is None:
             action = self.action
         if action.kind == KIND_DROP:
-            return Verdict(drop=self.in_path, note=note)
+            verdict = self._drop_verdicts.get(note)
+            if verdict is None:
+                verdict = self._drop_verdicts[note] = Verdict(
+                    drop=self.in_path, note=f"{self.name}:{note}"
+                )
+            return verdict
+        note = f"{self.name}:{note}"
         drop = self.in_path and action.drop_original
         if not packet.tcp.payload:
             # Residual handling of handshake packets: injecting devices

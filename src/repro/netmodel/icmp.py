@@ -40,7 +40,7 @@ QUOTE_RFC792 = "rfc792"
 QUOTE_RFC1812 = "rfc1812"
 
 
-@dataclass
+@dataclass(slots=True)
 class ICMPMessage:
     """A structural ICMP error message carrying a quoted packet."""
 
@@ -83,9 +83,7 @@ def build_quote(original: bytes, policy: str) -> bytes:
 def time_exceeded(original: bytes, policy: str = QUOTE_RFC792) -> ICMPMessage:
     """Build a Time Exceeded (TTL) message quoting ``original``."""
     return ICMPMessage(
-        icmp_type=TYPE_TIME_EXCEEDED,
-        code=CODE_TTL_EXCEEDED,
-        quote=build_quote(original, policy),
+        TYPE_TIME_EXCEEDED, CODE_TTL_EXCEEDED, build_quote(original, policy)
     )
 
 

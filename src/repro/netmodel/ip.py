@@ -77,7 +77,7 @@ def checksum16(data: bytes) -> int:
     return (~total) & 0xFFFF
 
 
-@dataclass
+@dataclass(slots=True)
 class IPHeader:
     """A structural IPv4 header (no options).
 
@@ -165,26 +165,23 @@ class IPHeader:
 
         Hand-rolled rather than :func:`dataclasses.replace`: headers are
         copied on every hop walk, making this one of the hottest
-        allocation sites in the simulator.
+        allocation sites in the simulator. The class is slotted, so a
+        change to a name that is not a field raises AttributeError.
         """
-        new = IPHeader.__new__(IPHeader)
-        new.src = self.src
-        new.dst = self.dst
-        new.ttl = self.ttl
-        new.protocol = self.protocol
-        new.tos = self.tos
-        new.identification = self.identification
-        new.flags = self.flags
-        new.frag_offset = self.frag_offset
-        new.total_length = self.total_length
-        new.checksum = self.checksum
-        if changes:
-            for name, value in changes.items():
-                if name not in _IP_HEADER_FIELDS:
-                    raise TypeError(
-                        f"IPHeader.copy() got an unexpected field {name!r}"
-                    )
-                setattr(new, name, value)
+        new = IPHeader(
+            self.src,
+            self.dst,
+            self.ttl,
+            self.protocol,
+            self.tos,
+            self.identification,
+            self.flags,
+            self.frag_offset,
+            self.total_length,
+            self.checksum,
+        )
+        for name, value in changes.items():
+            setattr(new, name, value)
         return new
 
     def verify_checksum(self, raw: bytes) -> bool:
@@ -192,23 +189,7 @@ class IPHeader:
         return checksum16(raw[: self.HEADER_LEN]) == 0
 
 
-_IP_HEADER_FIELDS = frozenset(
-    (
-        "src",
-        "dst",
-        "ttl",
-        "protocol",
-        "tos",
-        "identification",
-        "flags",
-        "frag_offset",
-        "total_length",
-        "checksum",
-    )
-)
-
-
-@dataclass
+@dataclass(slots=True)
 class FlowKey:
     """The classic 5-tuple identifying a flow (used for ECMP hashing and
     stateful device tracking)."""
@@ -221,13 +202,7 @@ class FlowKey:
 
     def reversed(self) -> "FlowKey":
         """The key of the reverse direction of this flow."""
-        return FlowKey(
-            src=self.dst,
-            dst=self.src,
-            sport=self.dport,
-            dport=self.sport,
-            protocol=self.protocol,
-        )
+        return FlowKey(self.dst, self.src, self.dport, self.sport, self.protocol)
 
     def canonical(self) -> Tuple[str, str, int, int, int]:
         """A direction-independent tuple (for bidirectional state)."""

@@ -37,9 +37,14 @@ def next_ip_id(net: Optional[NetContext] = None) -> int:
     return (net if net is not None else default_context()).next_ip_id()
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
-    """An IP packet with a TCP, UDP or ICMP payload."""
+    """An IP packet with a TCP, UDP or ICMP payload.
+
+    Slotted, like every value type on the probe path, and built
+    positionally at the hot sites: keep the field order stable
+    (``tests/netmodel/test_value_types.py`` guards it).
+    """
 
     ip: IPHeader
     tcp: Optional[TCPSegment] = None
@@ -81,22 +86,11 @@ class Packet:
         return self.udp is not None
 
     def flow_key(self) -> FlowKey:
+        ip = self.ip
         if self.tcp is not None:
-            return FlowKey(
-                src=self.ip.src,
-                dst=self.ip.dst,
-                sport=self.tcp.sport,
-                dport=self.tcp.dport,
-                protocol=PROTO_TCP,
-            )
+            return FlowKey(ip.src, ip.dst, self.tcp.sport, self.tcp.dport, PROTO_TCP)
         if self.udp is not None:
-            return FlowKey(
-                src=self.ip.src,
-                dst=self.ip.dst,
-                sport=self.udp.sport,
-                dport=self.udp.dport,
-                protocol=PROTO_UDP,
-            )
+            return FlowKey(ip.src, ip.dst, self.udp.sport, self.udp.dport, PROTO_UDP)
         raise ValueError("ICMP packets have no flow key")
 
     def to_bytes(self) -> bytes:
@@ -157,27 +151,14 @@ def tcp_packet(
     net: Optional[NetContext] = None,
 ) -> Packet:
     """Convenience constructor for a TCP packet."""
+    if ip_id is None:
+        ip_id = (net if net is not None else default_context()).next_ip_id()
+    # Positional, in field order: IPHeader(src, dst, ttl, protocol, tos,
+    # identification), TCPSegment(sport, dport, seq, ack, flags, window,
+    # urgent, options, payload).
     return Packet(
-        ip=IPHeader(
-            src=src,
-            dst=dst,
-            ttl=ttl,
-            tos=tos,
-            identification=(
-                (net if net is not None else default_context()).next_ip_id()
-                if ip_id is None
-                else ip_id
-            ),
-        ),
-        tcp=TCPSegment(
-            sport=sport,
-            dport=dport,
-            seq=seq,
-            ack=ack,
-            flags=flags,
-            window=window,
-            payload=payload,
-        ),
+        IPHeader(src, dst, ttl, PROTO_TCP, tos, ip_id),
+        TCPSegment(sport, dport, seq, ack, flags, window, 0, [], payload),
     )
 
 
@@ -190,17 +171,9 @@ def icmp_packet(
     net: Optional[NetContext] = None,
 ) -> Packet:
     """Convenience constructor for an ICMP packet."""
-    return Packet(
-        ip=IPHeader(
-            src=src,
-            dst=dst,
-            ttl=ttl,
-            identification=(
-                net if net is not None else default_context()
-            ).next_ip_id(),
-        ),
-        icmp=message,
-    )
+    ip_id = (net if net is not None else default_context()).next_ip_id()
+    # Positional: Packet(ip, tcp, icmp).
+    return Packet(IPHeader(src, dst, ttl, PROTO_ICMP, 0, ip_id), None, message)
 
 
 def udp_packet(

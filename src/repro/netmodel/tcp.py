@@ -103,7 +103,7 @@ def parse_options(data: bytes) -> List[TCPOption]:
     return options
 
 
-@dataclass
+@dataclass(slots=True)
 class TCPSegment:
     """A structural TCP segment (header + payload)."""
 

@@ -130,6 +130,7 @@ class PathPlan:
         "device_hops",
         "rewrites",
         "nodes",
+        "control_terminal",
         "_loss_profile",
         "_loss_rates",
     )
@@ -184,6 +185,8 @@ class PathPlan:
         )
         self.rewrites = tuple(rewrites)
         self.nodes = nodes
+        # Every handshake and teardown segment is sent at one TTL.
+        self.control_terminal = self.terminal_for(_CONTROL_TTL)
         self._loss_profile: Optional[LossProfile] = None
         self._loss_rates: Tuple[Tuple[float, ...], float] = ((), 0.0)
 
@@ -238,6 +241,8 @@ class BatchEngine:
         self.sim = sim
         # id(path) -> (path, plan): the path reference keeps the id stable.
         self._plans = {}
+        # (src, dst) -> (route, plan of its only path, or None when ECMP
+        # picks one of several per flow).
         self._routes = {}
         self._batches = []  # stack of [label, fast, fallback]
 
@@ -301,12 +306,16 @@ class BatchEngine:
         return entry[1]
 
     def _route_for(self, src: str, dst: str):
+        """``(route, plan)`` from ``src`` to ``dst``; ``plan`` is the
+        compiled only path, or None on a multi-path route."""
         key = (src, dst)
-        route = self._routes.get(key)
-        if route is None:
+        entry = self._routes.get(key)
+        if entry is None:
             route = self.sim.topology.route_between(src, dst)
-            self._routes[key] = route
-        return route
+            paths = route.paths
+            plan = self.plan_for(paths[0]) if len(paths) == 1 else None
+            entry = self._routes[key] = (route, plan)
+        return entry
 
     # -- the per-send fast path ----------------------------------------
 
@@ -334,26 +343,23 @@ class BatchEngine:
         if sim._capture_enabled:
             self._note(False)
             return sim.send_from_client(packet)
-        src = packet.ip.src
-        dst = packet.ip.dst
-        route = self._route_for(src, dst)
-        if flow is None and len(route.paths) > 1:
-            # Same flow hashing as the scalar engine: TCP uses the real
-            # 5-tuple, everything else a degenerate per-pair key.
-            flow = (
-                packet.flow_key()
-                if packet.is_tcp
-                else FlowKey(src, dst, 0, 0, 1)
-            )
-        plan = self._enter(route, flow)
+        ip = packet.ip
+        plan = self._enter(ip.src, ip.dst, flow, packet)
         deliveries: List[Packet] = []
         self._walk_forward(plan, packet, deliveries, wire_bytes)
         return self._leave(deliveries)
 
-    def _enter(self, route, flow: Optional[FlowKey]) -> PathPlan:
-        """Start one client send: tally it, advance the clock, count it
-        toward path churn, then pick its path (``flow`` is the ECMP
-        hash key, unused on a single-path route)."""
+    def _enter(
+        self,
+        src: str,
+        dst: str,
+        flow: Optional[FlowKey],
+        packet: Optional[Packet] = None,
+    ) -> PathPlan:
+        """Start one client send from ``src`` to ``dst``: tally it,
+        advance the clock, count it toward path churn, then pick its
+        path. ``flow`` is the ECMP hash key; on a multi-path route a
+        missing one is taken from ``packet``."""
         self._note(True)
         sim = self.sim
         sim.clock += sim.per_packet_time
@@ -362,9 +368,18 @@ class BatchEngine:
         if faults is not None:
             faults.note_client_packet(sim.clock)
             path_seed = faults.path_seed(sim.seed)
-        paths = route.paths
-        if len(paths) == 1:
-            return self.plan_for(paths[0])
+        entry = self._routes.get((src, dst))
+        route, plan = entry if entry is not None else self._route_for(src, dst)
+        if plan is not None:
+            return plan
+        if flow is None:
+            # Same flow hashing as the scalar engine: TCP uses the real
+            # 5-tuple, everything else a degenerate per-pair key.
+            flow = (
+                packet.flow_key()
+                if packet.tcp is not None
+                else FlowKey(src, dst, 0, 0, 1)
+            )
         return self.plan_for(route.select(flow, seed=path_seed))
 
     def _leave(self, deliveries: List[Packet]) -> List[Packet]:
@@ -468,11 +483,7 @@ class BatchEngine:
                     if fate == FATE_FAIL_CLOSED and device.in_path:
                         return
                 ctx = InspectionContext(
-                    clock=sim.clock,
-                    remaining_ttl=remaining,
-                    link_index=dev_hop,
-                    direction=DIRECTION_FORWARD,
-                    net=sim.net_context,
+                    sim.clock, remaining, dev_hop, DIRECTION_FORWARD, sim.net_context
                 )
                 verdict = device.inspect(inspected, ctx)
                 if tel_on:
@@ -817,8 +828,8 @@ class BatchEngine:
         net = sim.net_context
         flow = conn.flow
         ip_id = net.next_ip_id()
-        plan = self._enter(self._route_for(flow.src, flow.dst), flow)
-        terminal, last_hop, _ = plan.terminal_for(_CONTROL_TTL)
+        plan = self._enter(flow.src, flow.dst, flow)
+        terminal, last_hop, _ = plan.control_terminal
         if terminal is _EXPIRE or not self._control_passes(plan, last_hop, flow):
             packet = tcp_packet(
                 flow.src,
@@ -951,14 +962,13 @@ class BatchEngine:
         path; only capture falls back to the scalar engine.
         """
         sim = self.sim
-        route = self._route_for(client_ip, dst_ip)
+        _, plan = self._route_for(client_ip, dst_ip)
         eligible = (
-            sim._faults is None
+            plan is not None
+            and sim._faults is None
             and not sim._capture_enabled
-            and len(route.paths) == 1
         )
-        plan = self.plan_for(route.paths[0]) if eligible else None
-        if plan is not None and (plan.device_hops or plan.rewrites):
+        if eligible and (plan.device_hops or plan.rewrites):
             # Devices need the in-flight packet; header rewrites change
             # quote/arrival bytes mid-walk. Both go per probe through
             # send(), which fast-paths devices and rewrites correctly.

@@ -21,7 +21,7 @@ DIRECTION_FORWARD = "forward"  # client -> endpoint
 DIRECTION_REVERSE = "reverse"  # endpoint -> client
 
 
-@dataclass
+@dataclass(slots=True)
 class InspectionContext:
     """What a device knows when a packet passes its attachment point."""
 
@@ -37,7 +37,7 @@ class InspectionContext:
     net: Optional[NetContext] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """The action a device takes on a packet.
 
@@ -47,7 +47,8 @@ class Verdict:
     is what produces the paper's "Past E" observations).
 
     Frozen with tuple fields, so every inspection that lets a packet by
-    can share the one :meth:`pass_through` instance.
+    can share the one :meth:`pass_through` instance, and a device can
+    share one drop verdict per note.
     """
 
     drop: bool = False

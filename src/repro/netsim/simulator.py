@@ -349,12 +349,12 @@ class Simulator:
         safe; the IP header is the piece routers rebind in flight.
         """
         return Packet(
-            ip=packet.ip.copy(),
-            tcp=packet.tcp,
-            icmp=packet.icmp,
-            udp=packet.udp,
-            emitted_by=packet.emitted_by,
-            injected=packet.injected,
+            packet.ip.copy(),
+            packet.tcp,
+            packet.icmp,
+            packet.udp,
+            packet.emitted_by,
+            packet.injected,
         )
 
     def _lost(self) -> bool:
@@ -476,11 +476,7 @@ class Simulator:
                                 )
                             return
                     ctx = InspectionContext(
-                        clock=self.clock,
-                        remaining_ttl=ttl,
-                        link_index=index,
-                        direction=policy.direction,
-                        net=self.net_context,
+                        self.clock, ttl, index, policy.direction, self.net_context
                     )
                     verdict = device.inspect(packet, ctx)
                     if telemetry_on:
@@ -789,10 +785,10 @@ class EndpointStack:
         ip = packet.ip
 
         def reply(flags: int, payload: bytes = b"", seq: int = 0, ack: int = 0) -> Packet:
-            reply_packet = Packet(
-                # Positional (field order): keyword matching costs more
-                # than the rest of the construction on this hot path.
-                ip=IPHeader(
+            # Positional (field order): keyword matching costs more
+            # than the rest of the construction on this hot path.
+            return Packet(
+                IPHeader(
                     self.endpoint.ip,  # src
                     ip.src,  # dst
                     self.REPLY_TTL,  # ttl
@@ -804,17 +800,21 @@ class EndpointStack:
                     ip.total_length,
                     ip.checksum,
                 ),
-                tcp=tcpmod.TCPSegment(
-                    sport=segment.dport,
-                    dport=segment.sport,
-                    seq=seq,
-                    ack=ack,
-                    flags=flags,
-                    payload=payload,
+                tcpmod.TCPSegment(
+                    segment.dport,  # sport
+                    segment.sport,  # dport
+                    seq,
+                    ack,
+                    flags,
+                    65535,  # window
+                    0,  # urgent
+                    [],  # options
+                    payload,
                 ),
+                None,  # icmp
+                None,  # udp
+                self.endpoint.name,  # emitted_by
             )
-            reply_packet.emitted_by = self.endpoint.name
-            return reply_packet
 
         action = self.transition(
             ip.src,

@@ -14,24 +14,12 @@ from typing import List, Optional
 
 from ..netmodel import tcp as tcpmod
 from ..netmodel.ip import DEFAULT_TTL, FlowKey
-from ..netmodel.netctx import NetContext, default_context
 from ..netmodel.packet import Packet, tcp_packet
 from .simulator import Simulator
 from .topology import Client
 
 
-def next_ephemeral_port(net: Optional[NetContext] = None) -> int:
-    """A fresh client source port (wraps within the ephemeral range).
-
-    Source ports feed the ECMP flow hash, so simulated connections must
-    draw from the owning simulator's ``net_context`` — the per-unit
-    reset of that context is what replays a measurement's path
-    selection bit-identically.
-    """
-    return (net if net is not None else default_context()).next_ephemeral_port()
-
-
-@dataclass
+@dataclass(slots=True)
 class ProbeResult:
     """Everything the client received in reaction to one sent segment."""
 
@@ -75,6 +63,20 @@ class Connection:
 
     CLIENT_ISN = 42_000
 
+    __slots__ = (
+        "sim",
+        "client",
+        "dst_ip",
+        "dst_port",
+        "sport",
+        "_engine",
+        "_send",
+        "established",
+        "server_isn",
+        "_next_seq",
+        "flow",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -88,6 +90,9 @@ class Connection:
         self.client = client
         self.dst_ip = dst_ip
         self.dst_port = dst_port
+        # Source ports feed the ECMP flow hash: drawn from the owning
+        # simulator's context, whose per-unit reset replays a
+        # measurement's path selection bit-identically.
         self.sport = (
             sport
             if sport is not None

@@ -265,13 +265,23 @@ class _RecordCodec:
             else:
                 absent = "required"
             self.readers.append((f.name, _decoder(hint), absent))
+        self.encode: Callable[[object], Dict] = self._build_encoder()
 
-    def encode(self, record) -> Dict:
-        out: Dict = {"version": FORMAT_VERSION} if self.versioned else {}
-        for name, encode in self.writers:
-            value = getattr(record, name)
-            out[name] = value if encode is None else encode(value)
-        return out
+    def _build_encoder(self) -> Callable[[object], Dict]:
+        """The record -> dict writer: one generated function returning
+        one dict literal with ``self.writers``' keys in their order,
+        the way ``dataclasses`` builds ``__init__``."""
+        namespace: Dict[str, Callable] = {}
+        items = [f"'version': {FORMAT_VERSION!r}"] if self.versioned else []
+        for index, (name, encode) in enumerate(self.writers):
+            value = f"record.{name}"
+            if encode is not None:
+                namespace[f"_encode{index}"] = encode
+                value = f"_encode{index}({value})"
+            items.append(f"{name!r}: {value}")
+        source = "def encode(record):\n    return {" + ", ".join(items) + "}\n"
+        exec(source, namespace)
+        return namespace["encode"]
 
     def decode(self, data, parent=None):
         if not isinstance(data, dict):

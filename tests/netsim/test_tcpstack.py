@@ -9,17 +9,20 @@ sys.path.insert(0, str(Path(__file__).parent.parent))
 from helpers import ENDPOINT_IP, OK_DOMAIN, build_linear_world
 
 from repro.netmodel.http import HTTPRequest
-from repro.netsim.tcpstack import Connection, next_ephemeral_port, open_connection
+from repro.netmodel.netctx import NetContext
+from repro.netsim.tcpstack import Connection, open_connection
 
 
 class TestPorts:
     def test_ephemeral_ports_unique_in_sequence(self):
-        ports = {next_ephemeral_port() for _ in range(100)}
+        net = NetContext()
+        ports = {net.next_ephemeral_port() for _ in range(100)}
         assert len(ports) == 100
 
     def test_ephemeral_ports_in_range(self):
+        net = NetContext()
         for _ in range(50):
-            port = next_ephemeral_port()
+            port = net.next_ephemeral_port()
             assert 32768 <= port < 65536
 
 
