@@ -555,8 +555,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     if args.registry:
         # Render the telemetry registry — the documented operational
-        # surface every counter/span/event literal in src/ must appear
-        # in (enforced by lintkit RP601/RP603).
+        # surface that declares every counter/span/event name as the
+        # constant its emitters import.
         from . import telemetry_registry
 
         if args.json:

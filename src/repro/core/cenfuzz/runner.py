@@ -31,6 +31,18 @@ from ...netsim.simulator import Simulator
 from ...netsim.tcpstack import open_connection
 from ...netsim.topology import Client
 from ...services.webserver import TLS_SERVED_MARKER
+from ...telemetry_registry import (
+    CENFUZZ_BLOCKED_PROBES,
+    CENFUZZ_DEGRADED_ENDPOINTS,
+    CENFUZZ_ENDPOINTS,
+    CENFUZZ_EVASIONS,
+    CENFUZZ_HANDSHAKE_FAILURES,
+    CENFUZZ_PERMUTATIONS,
+    CENFUZZ_PROBES,
+    CENFUZZ_REPROBES,
+    EVENT_CENFUZZ_ENDPOINT,
+    SPAN_CENFUZZ_ENDPOINT,
+)
 from ..blockpages import DEFAULT_MATCHER, BlockpageMatcher
 from .strategies import (
     PROTO_HTTP,
@@ -183,7 +195,7 @@ class CenFuzz:
         cfg = self.config
         tel = self.sim.telemetry
         if tel.enabled:
-            tel.count("cenfuzz.probes")
+            tel.count(CENFUZZ_PROBES)
         port = cfg.http_port if permutation.protocol == PROTO_HTTP else cfg.tls_port
         conn = open_connection(
             self.sim, self.client, endpoint_ip, port, engine=self.engine
@@ -195,15 +207,15 @@ class CenFuzz:
             )
             if conn is None:
                 if tel.enabled:
-                    tel.count("cenfuzz.handshake_failures")
-                    tel.count("cenfuzz.blocked_probes")
+                    tel.count(CENFUZZ_HANDSHAKE_FAILURES)
+                    tel.count(CENFUZZ_BLOCKED_PROBES)
                 return FuzzProbeOutcome(OUTCOME_HANDSHAKE_FAILED)
         payload = self._payload(permutation, domain)
         result = conn.send_payload(payload, retries=cfg.probe_retries)
         conn.close()
         outcome = self._classify(result.received)
         if tel.enabled and outcome.blocked:
-            tel.count("cenfuzz.blocked_probes")
+            tel.count(CENFUZZ_BLOCKED_PROBES)
         self.sim.advance(
             cfg.wait_after_block if outcome.blocked else cfg.wait_normal
         )
@@ -234,7 +246,7 @@ class CenFuzz:
             return outcome
         tel = self.sim.telemetry
         if tel.enabled:
-            tel.count("cenfuzz.reprobes")
+            tel.count(CENFUZZ_REPROBES)
         confirm = self.probe(endpoint_ip, permutation, domain)
         confirm.reprobed = True
         return confirm
@@ -307,7 +319,7 @@ class CenFuzz:
         report = EndpointFuzzReport(
             endpoint_ip=endpoint_ip, test_domain=test_domain, protocol=protocol
         )
-        with self.sim.telemetry.span("cenfuzz.endpoint", sim=self.sim), \
+        with self.sim.telemetry.span(SPAN_CENFUZZ_ENDPOINT, sim=self.sim), \
                 self.engine.batch("cenfuzz.endpoint"):
             normal = normal_permutation(protocol)
             report.normal_test = self.probe(endpoint_ip, normal, test_domain)
@@ -333,13 +345,13 @@ class CenFuzz:
         tel = self.sim.telemetry
         if tel.enabled:
             evasions = sum(1 for r in report.results if r.successful)
-            tel.count("cenfuzz.endpoints")
-            tel.count("cenfuzz.permutations", len(report.results))
-            tel.count("cenfuzz.evasions", evasions)
+            tel.count(CENFUZZ_ENDPOINTS)
+            tel.count(CENFUZZ_PERMUTATIONS, len(report.results))
+            tel.count(CENFUZZ_EVASIONS, evasions)
             if report.degraded:
-                tel.count("cenfuzz.degraded_endpoints")
+                tel.count(CENFUZZ_DEGRADED_ENDPOINTS)
             tel.event(
-                "cenfuzz.endpoint",
+                EVENT_CENFUZZ_ENDPOINT,
                 endpoint=endpoint_ip,
                 domain=test_domain,
                 protocol=protocol,

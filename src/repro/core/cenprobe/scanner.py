@@ -17,6 +17,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...netsim.topology import Service, Topology
 from ...telemetry import NULL_TELEMETRY
+from ...telemetry_registry import (
+    CENPROBE_BANNER_GRABS,
+    CENPROBE_OPEN_PORTS,
+    CENPROBE_PORTS_SCANNED,
+    CENPROBE_SCANS,
+    CENPROBE_UNREACHABLE,
+    CENPROBE_VENDOR_LABELS,
+)
 from .fingerprints import DEFAULT_REPOSITORY, FingerprintRepository
 
 # The subset of Nmap's top-1000 ports that can host the services our
@@ -103,13 +111,13 @@ class CenProbe:
         """Scan one IP: ports, banners, fingerprints."""
         tel = self.telemetry
         if tel.enabled:
-            tel.count("cenprobe.scans")
-            tel.count("cenprobe.ports_scanned", len(self.ports))
+            tel.count(CENPROBE_SCANS)
+            tel.count(CENPROBE_PORTS_SCANNED, len(self.ports))
         report = ProbeReport(ip=ip)
         node = self.topology.node_at(ip)
         if node is None:
             if tel.enabled:
-                tel.count("cenprobe.unreachable")
+                tel.count(CENPROBE_UNREACHABLE)
             return report
         report.reachable = True
         report.open_ports = self.topology.scan_ports(ip, self.ports)
@@ -134,10 +142,10 @@ class CenProbe:
             elif not rule.is_filtering_product:
                 report.other_identifications.append(rule.vendor)
         if tel.enabled:
-            tel.count("cenprobe.open_ports", len(report.open_ports))
-            tel.count("cenprobe.banner_grabs", len(report.grabs))
+            tel.count(CENPROBE_OPEN_PORTS, len(report.open_ports))
+            tel.count(CENPROBE_BANNER_GRABS, len(report.grabs))
             if report.vendor is not None:
-                tel.count("cenprobe.vendor_labels")
+                tel.count(CENPROBE_VENDOR_LABELS)
         return report
 
     def scan_many(self, ips: Sequence[str]) -> List[ProbeReport]:

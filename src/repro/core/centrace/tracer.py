@@ -32,6 +32,19 @@ from ...netmodel.tls import ClientHello
 from ...netsim.simulator import Simulator
 from ...netsim.tcpstack import open_connection
 from ...netsim.topology import Client
+from ...telemetry_registry import (
+    CENTRACE_BLOCKED,
+    CENTRACE_DEGRADED_MEASUREMENTS,
+    CENTRACE_DEGRADED_SWEEPS,
+    CENTRACE_HANDSHAKE_FAILURES,
+    CENTRACE_HOPS_RATE_LIMITED,
+    CENTRACE_MEASUREMENTS,
+    CENTRACE_PROBES,
+    CENTRACE_PROBE_RETRIES,
+    CENTRACE_SWEEPS,
+    EVENT_CENTRACE_BLOCKED,
+    SPAN_CENTRACE_SWEEP,
+)
 from ..blockpages import DEFAULT_MATCHER, BlockpageMatcher
 from .classify import classify_measurement
 from .results import (
@@ -187,11 +200,11 @@ class CenTrace:
         )
         tel = self.sim.telemetry
         if tel.enabled:
-            tel.count("centrace.measurements")
+            tel.count(CENTRACE_MEASUREMENTS)
             if result.blocked:
-                tel.count("centrace.blocked")
+                tel.count(CENTRACE_BLOCKED)
                 tel.event(
-                    "centrace.blocked",
+                    EVENT_CENTRACE_BLOCKED,
                     endpoint=endpoint_ip,
                     domain=test_domain,
                     protocol=protocol,
@@ -199,7 +212,7 @@ class CenTrace:
                     ttl=result.terminating_ttl,
                 )
             if result.degraded:
-                tel.count("centrace.degraded_measurements")
+                tel.count(CENTRACE_DEGRADED_MEASUREMENTS)
         return result
 
     # -- sweeps -----------------------------------------------------------
@@ -218,7 +231,7 @@ class CenTrace:
         timeout_streak = 0
         streak_start_ttl = 0
         past_terminating = 0
-        with self.sim.telemetry.span("centrace.sweep", sim=self.sim), \
+        with self.sim.telemetry.span(SPAN_CENTRACE_SWEEP, sim=self.sim), \
                 self.engine.batch("centrace.sweep"):
             for ttl in range(1, cfg.max_ttl + 1):
                 if protocol == PROTO_DNS:
@@ -415,21 +428,21 @@ class CenTrace:
         sweep.degraded = bool(sweep.probes_retried or sweep.hops_rate_limited)
         tel = self.sim.telemetry
         if tel.enabled:
-            tel.count("centrace.sweeps")
-            tel.count("centrace.probes", len(sweep.probes))
+            tel.count(CENTRACE_SWEEPS)
+            tel.count(CENTRACE_PROBES, len(sweep.probes))
             tel.count(
-                "centrace.probe_retries",
+                CENTRACE_PROBE_RETRIES,
                 sum(probe.retries_used for probe in sweep.probes),
             )
             handshake_failures = sum(
                 1 for probe in sweep.probes if probe.handshake_failed
             )
             if handshake_failures:
-                tel.count("centrace.handshake_failures", handshake_failures)
+                tel.count(CENTRACE_HANDSHAKE_FAILURES, handshake_failures)
             if sweep.hops_rate_limited:
-                tel.count("centrace.hops_rate_limited", sweep.hops_rate_limited)
+                tel.count(CENTRACE_HOPS_RATE_LIMITED, sweep.hops_rate_limited)
             if sweep.degraded:
-                tel.count("centrace.degraded_sweeps")
+                tel.count(CENTRACE_DEGRADED_SWEEPS)
         first_terminating: Optional[ProbeObservation] = None
         for probe in sweep.probes:
             if self._terminating_response(probe, endpoint_ip) is not None:

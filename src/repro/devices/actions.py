@@ -81,17 +81,6 @@ class DNSBlockAction:
     signature: InjectionSignature = InjectionSignature()
 
 
-def reset_dns_fake_cursor(start: int = 0) -> None:
-    """Deprecated shim: rewind the *default* context's fake-DNS cursor.
-
-    Profiles with several ``fake_addresses`` (the GFW-style rotation)
-    advance a cursor once per forged answer; it now lives on the owning
-    simulator's :class:`~repro.netmodel.netctx.NetContext` — reset that
-    instead (``sim.net_context.reset()``).
-    """
-    default_context().reset_dns_fake_cursor(start)
-
-
 def build_dns_injections(
     action: DNSBlockAction,
     trigger: Packet,
@@ -164,12 +153,6 @@ def build_dns_injections(
             )
         )
     return forged
-
-
-def reset_sequential_ip_id(start: int = 0x1000) -> None:
-    """Deprecated shim: rewind the *default* context's IPID_SEQUENTIAL
-    stream; simulated injections draw from ``sim.net_context``."""
-    default_context().reset_sequential_ip_id(start)
 
 
 def build_injections(

@@ -30,6 +30,7 @@ from ..core.centrace import (
 from ..geo.countries import StudyWorld, build_world
 from ..netsim.faults import FaultPlan
 from ..telemetry import NULL_TELEMETRY, RunReport, wall_now
+from ..telemetry_registry import SPAN_CAMPAIGN, SPAN_CAMPAIGN_PROBE
 from .executor import (
     VANTAGE_IN_COUNTRY,
     VANTAGE_REMOTE,
@@ -275,7 +276,7 @@ def run_campaign(
         # runs serially in the parent under either mode — its counters
         # flow straight into the campaign sink.
         if config.run_probe:
-            with tel.span("campaign.probe"):
+            with tel.span(SPAN_CAMPAIGN_PROBE):
                 prober = CenProbe(world.topology, telemetry=tel)
                 for ip in campaign.potential_device_ips():
                     campaign.probe_reports[ip] = prober.scan(ip)
@@ -288,7 +289,7 @@ def run_campaign(
             campaign.fuzz_reports = executor.run_fuzz(fuzz_units)
 
     if tel.enabled:
-        tel.add_wall("campaign", wall_now() - wall0)
+        tel.add_wall(SPAN_CAMPAIGN, wall_now() - wall0)
         campaign.run_report = tel.build_report(
             meta={
                 "country": world.country,

@@ -41,6 +41,11 @@ from ..geo.countries import StudyWorld, build_world
 from ..geo.drift import DriftPlan, ops_touching, unit_touchpoints
 from ..persist import UnitCache, to_dict, unit_cache_key, unit_result_from_dict
 from ..telemetry import NULL_TELEMETRY
+from ..telemetry_registry import (
+    STORE_EPOCHS_RUN,
+    units_executed_counter,
+    units_reused_counter,
+)
 from .campaign import (
     CampaignConfig,
     CountryCampaign,
@@ -195,8 +200,8 @@ class EpochScheduler:
             if self.cache is not None:
                 self.cache.put(keys[index], kind, to_dict(result))
         reused = len(units) - len(miss_indices)
-        self.telemetry.count(f"store.units_reused.{kind}", reused)
-        self.telemetry.count(f"store.units_executed.{kind}", len(miss_units))
+        self.telemetry.count(units_reused_counter(kind), reused)
+        self.telemetry.count(units_executed_counter(kind), len(miss_units))
         return results, reused, len(miss_indices)
 
     # -- epochs ----------------------------------------------------------
@@ -246,7 +251,7 @@ class EpochScheduler:
                 result.executed_fuzz_units = executed
                 campaign.fuzz_reports = reports
 
-        self.telemetry.count("store.epochs_run")
+        self.telemetry.count(STORE_EPOCHS_RUN)
         return result
 
     def run(self, epochs: int) -> List[EpochResult]:

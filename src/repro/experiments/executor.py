@@ -42,6 +42,7 @@ from ..core.cenfuzz import CenFuzz, EndpointFuzzReport
 from ..core.centrace import CenTrace, CenTraceConfig, CenTraceResult
 from ..geo.countries import StudyWorld
 from ..telemetry import NULL_TELEMETRY, Telemetry, wall_now
+from ..telemetry_registry import EVENT_STAGE, campaign_stage_span, fault_counter
 
 VANTAGE_REMOTE = "remote"
 VANTAGE_IN_COUNTRY = "in_country"
@@ -234,7 +235,7 @@ def run_unit_instrumented(
             value = getattr(sim._faults.counters, f.name)
             if value:
                 counters = snapshot["counters"]
-                key = f"faults.{f.name}"
+                key = fault_counter(f.name)
                 counters[key] = counters.get(key, 0) + value
     snapshot["virtual_seconds"] = sim.clock
     snapshot["wall_seconds"] = wall_now() - wall0
@@ -398,7 +399,7 @@ class CampaignExecutor:
         tel = self.telemetry
         collect = tel.enabled
         if collect:
-            tel.event("stage", stage=stage, units=len(units))
+            tel.event(EVENT_STAGE, stage=stage, units=len(units))
         wall0 = wall_now() if collect else 0.0
         if self._pool is None:
             toolset = self._local_toolset()
@@ -428,13 +429,13 @@ class CampaignExecutor:
                 # accumulation byte-identical.
                 tel.merge_snapshot(snapshot)
                 tel.add_virtual(
-                    f"campaign.{stage}", snapshot["virtual_seconds"]
+                    campaign_stage_span(stage), snapshot["virtual_seconds"]
                 )
                 tel.record_unit_wall(
                     stage, snapshot["wall_seconds"], snapshot["pid"]
                 )
         if collect:
-            tel.add_wall(f"campaign.{stage}", wall_now() - wall0)
+            tel.add_wall(campaign_stage_span(stage), wall_now() - wall0)
         return results
 
     def _local_toolset(self) -> Toolset:

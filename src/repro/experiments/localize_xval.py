@@ -50,6 +50,11 @@ from ..localize.evidence import Link
 from ..netsim.faults import FaultPlan
 from ..netsim.routing import Hop, Path, Route
 from ..telemetry import NULL_TELEMETRY
+from ..telemetry_registry import (
+    EVENT_LOCALIZE_PLACEMENT,
+    LOCALIZE_VERDICTS,
+    SPAN_LOCALIZE_XVAL,
+)
 
 #: The one domain the swept device blocks; endpoints serve it plus the
 #: control domain so CenTrace's control sweeps stay valid.
@@ -383,7 +388,7 @@ def run_cross_validation(
         tolerance=tolerance,
     )
     pair_counts: Dict[str, List[int]] = {}
-    with telemetry.span("localize.xval"):
+    with telemetry.span(SPAN_LOCALIZE_XVAL):
         for placement in placements or placement_labels():
             world = tomography_world(placement, seed=seed)
             world.sim.set_telemetry(telemetry)
@@ -408,7 +413,7 @@ def run_cross_validation(
             for method, verdicts in by_method.items():
                 report.verdicts.extend(verdicts)
                 if telemetry.enabled and verdicts:
-                    telemetry.count("localize.verdicts", len(verdicts))
+                    telemetry.count(LOCALIZE_VERDICTS, len(verdicts))
                 report.rows.append(
                     _score(
                         placement,
@@ -422,7 +427,7 @@ def run_cross_validation(
             _tally_agreement(pair_counts, by_method)
             if telemetry.enabled:
                 telemetry.event(
-                    "localize.placement",
+                    EVENT_LOCALIZE_PLACEMENT,
                     placement=placement,
                     true_index=true_index,
                     methods=sorted(by_method),

@@ -38,6 +38,12 @@ from ..core.centrace.tracer import build_probe_payload
 from ..netmodel import tcp as tcpmod
 from ..netsim.routing import Route
 from ..netsim.tcpstack import Connection
+from ..telemetry_registry import (
+    LOCALIZE_BLOCKED_EVIDENCE,
+    LOCALIZE_EVIDENCE_RECORDS,
+    LOCALIZE_PROBES,
+    SPAN_LOCALIZE_COLLECT,
+)
 
 #: One directed link, as (from-node, to-node) names — the same pairs
 #: ``netsim.routing.Path.links()`` produces.
@@ -127,7 +133,7 @@ def collect_outcome_evidence(
     port = 443 if protocol == "tls" else 80
     tel = sim.telemetry
     evidence: List[PathEvidence] = []
-    with tel.span("localize.collect", sim=sim):
+    with tel.span(SPAN_LOCALIZE_COLLECT, sim=sim):
         for _ in range(rounds):
             for endpoint in targets:
                 for domain in domains:
@@ -142,10 +148,10 @@ def collect_outcome_evidence(
                         )
                         sim.advance(inter_probe_wait)
     if tel.enabled:
-        tel.count("localize.evidence_records", len(evidence))
+        tel.count(LOCALIZE_EVIDENCE_RECORDS, len(evidence))
         blocked = sum(1 for e in evidence if e.blocked)
         if blocked:
-            tel.count("localize.blocked_evidence", blocked)
+            tel.count(LOCALIZE_BLOCKED_EVIDENCE, blocked)
     return evidence
 
 
@@ -155,7 +161,7 @@ def _probe_once(
     """One outcome probe -> one evidence record."""
     tel = sim.telemetry
     if tel.enabled:
-        tel.count("localize.probes")
+        tel.count(LOCALIZE_PROBES)
     conn = Connection(sim, client, endpoint_ip, port, engine=sim.batch_engine())
     established = conn.connect(retries=2)
     if established:

@@ -71,6 +71,27 @@ from ..netmodel.ip import DEFAULT_TTL, FlowKey, IPHeader, checksum16
 from ..netmodel.icmp import time_exceeded
 from ..netmodel.packet import Packet, icmp_packet, tcp_packet
 from ..netmodel.udp import UDPDatagram
+from ..telemetry_registry import (
+    EVENT_SIM_BATCH,
+    SIM_BATCHES,
+    SIM_BATCH_CONTROL_RESOLVED,
+    SIM_BATCH_FAST_PATH,
+    SIM_BATCH_SCALAR_FALLBACK,
+    SIM_CLIENT_PACKETS,
+    SIM_DELIVERIES,
+    SIM_DEVICE_ACTIONS,
+    SIM_DEVICE_DROPS,
+    SIM_DEVICE_INSPECTIONS,
+    SIM_FAULT_DEVICE_ROLLS,
+    SIM_FAULT_LOSS_ROLLS,
+    SIM_ICMP_GENERATED,
+    SIM_ICMP_RATE_LIMITED,
+    SIM_ICMP_SILENT,
+    SIM_INJECTED_TO_CLIENT,
+    SIM_INJECTED_TO_SERVER,
+    SIM_PACKETS_LOST,
+    SIM_REVERSE_TTL_EXPIRED,
+)
 from .faults import FATE_FAIL_CLOSED, FATE_FAIL_OPEN, LossProfile
 from .interfaces import DIRECTION_FORWARD, InspectionContext, Verdict
 from .routing import Path
@@ -257,9 +278,9 @@ class BatchEngine:
         label, fast, fallback = self._batches.pop()
         tel = self.sim.telemetry
         if tel.enabled:
-            tel.count("sim.batches")
+            tel.count(SIM_BATCHES)
             tel.event(
-                "sim.batch",
+                EVENT_SIM_BATCH,
                 label=label,
                 size=fast + fallback,
                 fast=fast,
@@ -291,7 +312,7 @@ class BatchEngine:
         tel = self.sim.telemetry
         if tel.enabled:
             tel.count(
-                "sim.batch_fast_path" if fast else "sim.batch_scalar_fallback"
+                SIM_BATCH_FAST_PATH if fast else SIM_BATCH_SCALAR_FALLBACK
             )
         if self._batches:
             self._batches[-1][1 if fast else 2] += 1
@@ -389,9 +410,9 @@ class BatchEngine:
             deliveries = sim._faults.shape_deliveries(deliveries, sim._clone)
         tel = sim.telemetry
         if tel.enabled:
-            tel.count("sim.client_packets")
+            tel.count(SIM_CLIENT_PACKETS)
             if deliveries:
-                tel.count("sim.deliveries", len(deliveries))
+                tel.count(SIM_DELIVERIES, len(deliveries))
         return deliveries
 
     def _forward_lost(
@@ -414,7 +435,7 @@ class BatchEngine:
                 for _ in range(start, stop):
                     if rnd() < rate:
                         if tel.enabled:
-                            tel.count("sim.packets_lost")
+                            tel.count(SIM_PACKETS_LOST)
                         return True
             return False
         faults = sim._faults
@@ -424,11 +445,11 @@ class BatchEngine:
             if rate > 0.0 and rnd() < rate:
                 faults.counters.packets_lost += 1
                 if tel.enabled:
-                    tel.count("sim.fault_loss_rolls", j + 1 - start)
-                    tel.count("sim.packets_lost")
+                    tel.count(SIM_FAULT_LOSS_ROLLS, j + 1 - start)
+                    tel.count(SIM_PACKETS_LOST)
                 return True
         if tel.enabled and stop > start:
-            tel.count("sim.fault_loss_rolls", stop - start)
+            tel.count(SIM_FAULT_LOSS_ROLLS, stop - start)
         return False
 
     def _walk_forward(
@@ -476,7 +497,7 @@ class BatchEngine:
             for device in devices:
                 if flaky:
                     if tel_on:
-                        tel.count("sim.fault_device_rolls")
+                        tel.count(SIM_FAULT_DEVICE_ROLLS)
                     fate = faults.device_fate(device)
                     if fate == FATE_FAIL_OPEN:
                         continue
@@ -487,16 +508,16 @@ class BatchEngine:
                 )
                 verdict = device.inspect(inspected, ctx)
                 if tel_on:
-                    tel.count("sim.device_inspections")
+                    tel.count(SIM_DEVICE_INSPECTIONS)
                     if verdict.acted:
-                        tel.count("sim.device_actions")
+                        tel.count(SIM_DEVICE_ACTIONS)
                 if verdict.inject_to_client or verdict.inject_to_server:
                     self._dispatch_injections(
                         verdict, plan, dev_hop, deliveries, client_ip
                     )
                 if verdict.drop and device.in_path:
                     if tel_on:
-                        tel.count("sim.device_drops")
+                        tel.count(SIM_DEVICE_DROPS)
                     return
         if lossy and self._forward_lost(rates, cursor, last_hop + 1):
             return
@@ -571,16 +592,16 @@ class BatchEngine:
         tel = sim.telemetry
         if not router.responds_icmp:
             if tel.enabled:
-                tel.count("sim.icmp_silent")
+                tel.count(SIM_ICMP_SILENT)
             return
         faults = sim._faults
         if faults is not None and faults.icmp_suppressed(router, sim.clock):
             # Token bucket empty: this expiry goes unanswered.
             if tel.enabled:
-                tel.count("sim.icmp_rate_limited")
+                tel.count(SIM_ICMP_RATE_LIMITED)
             return
         if tel.enabled:
-            tel.count("sim.icmp_generated")
+            tel.count(SIM_ICMP_GENERATED)
         if walk_pkt is not None:
             # Rewrites already materialized the in-flight copy for a
             # device: finish its rewrites and serialize it.
@@ -701,15 +722,15 @@ class BatchEngine:
                     ttl -= 1
                     if ttl <= 0:
                         if tel_on:
-                            tel.count("sim.fault_loss_rolls", rolls)
-                            tel.count("sim.reverse_ttl_expired")
+                            tel.count(SIM_FAULT_LOSS_ROLLS, rolls)
+                            tel.count(SIM_REVERSE_TTL_EXPIRED)
                         return None
             rolls += 1
             if client_rate > 0.0 and rnd() < client_rate:
                 self._fault_reverse_lost(rolls)
                 return None
             if tel_on:
-                tel.count("sim.fault_loss_rolls", rolls)
+                tel.count(SIM_FAULT_LOSS_ROLLS, rolls)
             return ttl
         if rate > 0:
             rnd = sim._rng.random
@@ -717,23 +738,23 @@ class BatchEngine:
             for j in range(start_index - 1, -1, -1):
                 if rnd() < rate:
                     if tel_on:
-                        tel.count("sim.packets_lost")
+                        tel.count(SIM_PACKETS_LOST)
                     return None
                 if is_router[j]:
                     ttl -= 1
                     if ttl <= 0:
                         if tel_on:
-                            tel.count("sim.reverse_ttl_expired")
+                            tel.count(SIM_REVERSE_TTL_EXPIRED)
                         return None
             if rnd() < rate:
                 if tel_on:
-                    tel.count("sim.packets_lost")
+                    tel.count(SIM_PACKETS_LOST)
                 return None
             return ttl
         crossed = plan.routers_before[start_index]
         if ttl <= crossed:
             if tel_on:
-                tel.count("sim.reverse_ttl_expired")
+                tel.count(SIM_REVERSE_TTL_EXPIRED)
             return None
         return ttl - crossed
 
@@ -743,8 +764,8 @@ class BatchEngine:
         sim._faults.counters.packets_lost += 1
         tel = sim.telemetry
         if tel.enabled:
-            tel.count("sim.fault_loss_rolls", rolls)
-            tel.count("sim.packets_lost")
+            tel.count(SIM_FAULT_LOSS_ROLLS, rolls)
+            tel.count(SIM_PACKETS_LOST)
 
     def _dispatch_injections(
         self,
@@ -759,7 +780,7 @@ class BatchEngine:
         tel_on = tel.enabled
         for injected in verdict.inject_to_client:
             if tel_on:
-                tel.count("sim.injected_to_client")
+                tel.count(SIM_INJECTED_TO_CLIENT)
             self._lean_reverse(
                 plan, sim._clone(injected), link_index, deliveries
             )
@@ -768,7 +789,7 @@ class BatchEngine:
             # implementation: they are rare, stateful (they meet the
             # endpoint stack) and policy-distinct.
             if tel_on:
-                tel.count("sim.injected_to_server")
+                tel.count(SIM_INJECTED_TO_SERVER)
             sim._run_transit(
                 Transit(
                     sim._clone(injected),
@@ -867,10 +888,10 @@ class BatchEngine:
                         )
         tel = sim.telemetry
         if tel.enabled:
-            tel.count("sim.client_packets")
-            tel.count("sim.batch_control_resolved")
+            tel.count(SIM_CLIENT_PACKETS)
+            tel.count(SIM_BATCH_CONTROL_RESOLVED)
             if replies:
-                tel.count("sim.deliveries", len(replies))
+                tel.count(SIM_DELIVERIES, len(replies))
         return replies
 
     def _control_passes(
@@ -909,14 +930,14 @@ class BatchEngine:
             for device in devices:
                 if flaky:
                     if tel_on:
-                        tel.count("sim.fault_device_rolls")
+                        tel.count(SIM_FAULT_DEVICE_ROLLS)
                     fate = faults.device_fate(device)
                     if fate == FATE_FAIL_OPEN:
                         continue
                     if fate == FATE_FAIL_CLOSED and device.in_path:
                         return False
                 if tel_on:
-                    tel.count("sim.device_inspections")
+                    tel.count(SIM_DEVICE_INSPECTIONS)
         return not (lossy and self._forward_lost(rates, cursor, last_hop + 1))
 
     # -- the array ladder ----------------------------------------------
@@ -1026,8 +1047,8 @@ class BatchEngine:
             deliveries: List[Packet] = []
             results.append(deliveries)
             if tel_on:
-                tel.count("sim.batch_fast_path")
-                tel.count("sim.client_packets")
+                tel.count(SIM_BATCH_FAST_PATH)
+                tel.count(SIM_CLIENT_PACKETS)
             if self._batches:
                 self._batches[-1][1] += 1
             terminal, last_hop, router = plan.terminal_for(ttl)
@@ -1040,15 +1061,15 @@ class BatchEngine:
                         break
                 if lost:
                     if tel_on:
-                        tel.count("sim.packets_lost")
+                        tel.count(SIM_PACKETS_LOST)
                     continue
             if terminal is _EXPIRE:
                 if not router.responds_icmp:
                     if tel_on:
-                        tel.count("sim.icmp_silent")
+                        tel.count(SIM_ICMP_SILENT)
                     continue
                 if tel_on:
-                    tel.count("sim.icmp_generated")
+                    tel.count(SIM_ICMP_GENERATED)
                 quote_pkt = Packet(
                     ip=IPHeader(
                         src=client_ip,
@@ -1092,5 +1113,5 @@ class BatchEngine:
                         self._lean_reverse(plan, response, last_hop, deliveries)
             # _SINK / _TIMEOUT: allocations consumed, nothing delivered.
             if tel_on and deliveries:
-                tel.count("sim.deliveries", len(deliveries))
+                tel.count(SIM_DELIVERIES, len(deliveries))
         return results

@@ -45,6 +45,23 @@ from ..netmodel.ip import FlowKey, IPHeader
 from ..netmodel.netctx import NetContext, default_context
 from ..netmodel.packet import Packet, icmp_packet
 from ..telemetry import NULL_TELEMETRY
+from ..telemetry_registry import (
+    SIM_CLIENT_PACKETS,
+    SIM_DELIVERIES,
+    SIM_DEVICE_ACTIONS,
+    SIM_DEVICE_DROPS,
+    SIM_DEVICE_INSPECTIONS,
+    SIM_FAULT_DEVICE_ROLLS,
+    SIM_FAULT_LOSS_ROLLS,
+    SIM_ICMP_GENERATED,
+    SIM_ICMP_RATE_LIMITED,
+    SIM_ICMP_SILENT,
+    SIM_INJECTED_TO_CLIENT,
+    SIM_INJECTED_TO_SERVER,
+    SIM_INJECTED_TTL_EXPIRED,
+    SIM_PACKETS_LOST,
+    SIM_REVERSE_TTL_EXPIRED,
+)
 from .faults import FATE_FAIL_CLOSED, FATE_FAIL_OPEN, FaultPlan, FaultState
 from .interfaces import (
     DIRECTION_FORWARD,
@@ -115,7 +132,7 @@ POLICY_INJECTED_TO_SERVER = TransitPolicy(
     deliver_via_services=False,
     loss_event="loss-injected",
     expiry_event="injected-ttl-expired",
-    expiry_counter="sim.injected_ttl_expired",
+    expiry_counter=SIM_INJECTED_TTL_EXPIRED,
 )
 
 #: Return traffic toward the client: endpoint responses, router ICMP
@@ -132,7 +149,7 @@ POLICY_REVERSE = TransitPolicy(
     deliver_via_services=False,
     loss_event="loss-reverse",
     expiry_event="reverse-ttl-expired",
-    expiry_counter="sim.reverse_ttl_expired",
+    expiry_counter=SIM_REVERSE_TTL_EXPIRED,
 )
 
 
@@ -336,9 +353,9 @@ class Simulator:
             deliveries = faults.shape_deliveries(deliveries, self._clone)
         tel = self.telemetry
         if tel.enabled:
-            tel.count("sim.client_packets")
+            tel.count(SIM_CLIENT_PACKETS)
             if deliveries:
-                tel.count("sim.deliveries", len(deliveries))
+                tel.count(SIM_DELIVERIES, len(deliveries))
         return deliveries
 
     @staticmethod
@@ -370,7 +387,7 @@ class Simulator:
         faults = self._faults
         if faults is not None and faults.per_link_loss:
             if self.telemetry.enabled:
-                self.telemetry.count("sim.fault_loss_rolls")
+                self.telemetry.count(SIM_FAULT_LOSS_ROLLS)
             return faults.link_lost(node)
         return self.loss_rate > 0 and self._rng.random() < self.loss_rate
 
@@ -445,7 +462,7 @@ class Simulator:
                 and self._link_lost(node)
             ):
                 if telemetry_on:
-                    tel.count("sim.packets_lost")
+                    tel.count(SIM_PACKETS_LOST)
                 if capture:
                     self._record(
                         hops[index].node_name,
@@ -458,7 +475,7 @@ class Simulator:
                 for device in hops[index].link_devices:
                     if flaky:
                         if telemetry_on:
-                            tel.count("sim.fault_device_rolls")
+                            tel.count(SIM_FAULT_DEVICE_ROLLS)
                         fate = faults.device_fate(device)
                         if fate == FATE_FAIL_OPEN:
                             # Enforcement lapses: the packet passes
@@ -480,9 +497,9 @@ class Simulator:
                     )
                     verdict = device.inspect(packet, ctx)
                     if telemetry_on:
-                        tel.count("sim.device_inspections")
+                        tel.count(SIM_DEVICE_INSPECTIONS)
                         if verdict.acted:
-                            tel.count("sim.device_actions")
+                            tel.count(SIM_DEVICE_ACTIONS)
                     if capture and verdict.acted:
                         self._record(
                             device.name,
@@ -494,7 +511,7 @@ class Simulator:
                     )
                     if verdict.drop and device.in_path:
                         if telemetry_on:
-                            tel.count("sim.device_drops")
+                            tel.count(SIM_DEVICE_DROPS)
                         return
             # 3. Arrive at the node.
             if isinstance(node, Router):
@@ -536,7 +553,7 @@ class Simulator:
         # client, so a packet lost here was never seen), then arrival.
         if lossy and self._link_lost(None):
             if telemetry_on:
-                tel.count("sim.packets_lost")
+                tel.count(SIM_PACKETS_LOST)
             return
         packet.ip = packet.ip.copy(ttl=ttl)
         if capture:
@@ -580,7 +597,7 @@ class Simulator:
             return
         if not router.responds_icmp:
             if tel.enabled:
-                tel.count("sim.icmp_silent")
+                tel.count(SIM_ICMP_SILENT)
             return
         if self._faults is not None and self._faults.icmp_suppressed(
             router, self.clock
@@ -589,7 +606,7 @@ class Simulator:
             # expiry, exactly like rate-limited real-world hops during
             # dense TTL sweeps.
             if tel.enabled:
-                tel.count("sim.icmp_rate_limited")
+                tel.count(SIM_ICMP_RATE_LIMITED)
             if self._capture_enabled:
                 self._record(router.name, "icmp-rate-limited", packet.brief())
             return
@@ -597,7 +614,7 @@ class Simulator:
         # in-flight header rewrites are visible, and the TTL has been
         # decremented all the way down.
         if tel.enabled:
-            tel.count("sim.icmp_generated")
+            tel.count(SIM_ICMP_GENERATED)
         packet.ip = packet.ip.copy(ttl=1)
         quoted = packet.to_bytes()
         message = time_exceeded(quoted, policy=router.quoting)
@@ -664,7 +681,7 @@ class Simulator:
             # a copy: the walk rebinds headers (TTL rewrite on arrival)
             # and the device may reuse its injection template.
             if tel.enabled:
-                tel.count("sim.injected_to_client")
+                tel.count(SIM_INJECTED_TO_CLIENT)
             self._run_transit(
                 Transit(
                     self._clone(injected),
@@ -680,7 +697,7 @@ class Simulator:
             # ``link_index`` itself (the device's own link carries no
             # loss roll) and continue toward the endpoint.
             if tel.enabled:
-                tel.count("sim.injected_to_server")
+                tel.count(SIM_INJECTED_TO_SERVER)
             self._run_transit(
                 Transit(
                     self._clone(injected),

@@ -34,6 +34,13 @@ from .core.centrace.results import CenTraceResult
 from .localize.evidence import PathEvidence
 from .localize.verdicts import LocalizationVerdict
 from .telemetry import NULL_TELEMETRY, RunReport
+from .telemetry_registry import (
+    STORE_UNIT_CACHE_HITS,
+    STORE_UNIT_CACHE_LOADED,
+    STORE_UNIT_CACHE_MISSES,
+    STORE_UNIT_CACHE_TORN_TAIL,
+    STORE_UNIT_CACHE_WRITES,
+)
 
 # 2: adds optional report.json (telemetry run report) + has_report meta.
 # 3: meta.json gains "kind" + "provenance" (world seed/scale/fault plan/
@@ -757,14 +764,14 @@ class UnitCache:
                 if lineno == last_content:
                     # Torn final append: drop the lost record, keep the
                     # cache usable (misses re-run and re-append).
-                    self.telemetry.count("store.unit_cache_torn_tail")
+                    self.telemetry.count(STORE_UNIT_CACHE_TORN_TAIL)
                     break
                 raise PersistError(
                     f"corrupt unit cache {self.path} at line {lineno}: "
                     f"{exc}"
                 ) from None
             self._entries[key] = {"kind": kind, "payload": payload}
-        self.telemetry.count("store.unit_cache_loaded", len(self._entries))
+        self.telemetry.count(STORE_UNIT_CACHE_LOADED, len(self._entries))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -776,9 +783,9 @@ class UnitCache:
         """The ``{"kind", "payload"}`` entry for ``key``, counting hits."""
         entry = self._entries.get(key)
         if entry is None:
-            self.telemetry.count("store.unit_cache_misses")
+            self.telemetry.count(STORE_UNIT_CACHE_MISSES)
             return None
-        self.telemetry.count("store.unit_cache_hits")
+        self.telemetry.count(STORE_UNIT_CACHE_HITS)
         return entry
 
     def put(self, key: str, kind: str, payload: Dict) -> None:
@@ -789,4 +796,4 @@ class UnitCache:
         record = {"key": key, "kind": kind, "payload": payload}
         with self.path.open("a") as handle:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-        self.telemetry.count("store.unit_cache_writes")
+        self.telemetry.count(STORE_UNIT_CACHE_WRITES)

@@ -73,6 +73,21 @@ from ..persist import (
     unit_result_to_dict,
 )
 from ..telemetry import RunReport, Telemetry, wall_now
+from ..telemetry_registry import (
+    SERVICE_BACKPRESSURE_WAITS,
+    SERVICE_CACHE_RESTORED,
+    SERVICE_COALESCED,
+    SERVICE_COALESCED_CACHED,
+    SERVICE_COALESCED_INFLIGHT,
+    SERVICE_RATE_LIMITED_WAITS,
+    SERVICE_REQUESTS,
+    SERVICE_UNITS_ENQUEUED,
+    SERVICE_UNITS_EXECUTED,
+    SERVICE_UNITS_REQUESTED,
+    SERVICE_UNIT_FAILURES,
+    SERVICE_UNIT_RETRIES,
+    SPAN_SERVICE_UNIT,
+)
 from .jobs import (
     ProbeRequest,
     ResultStream,
@@ -328,14 +343,14 @@ class CampaignService:
                 "CampaignService(...)' or await start() first"
             )
         tel = self.telemetry
-        tel.count("service.requests")
+        tel.count(SERVICE_REQUESTS)
         stream = ResultStream(len(request.units))
         bucket = self._buckets.get(request.tenant)
         if bucket is None:
             bucket = _TokenBucket(self.config.rate, self.config.burst)
             self._buckets[request.tenant] = bucket
         for unit in request.units:
-            tel.count("service.units_requested")
+            tel.count(SERVICE_UNITS_REQUESTED)
             await self._admit_tokens(bucket)
             key = work_key(request.world, unit, request.repetitions)
             state = self._states.get(key)
@@ -358,12 +373,12 @@ class CampaignService:
                 if state is not None:
                     self._release_slot()
             if state is not None:
-                tel.count("service.coalesced")
+                tel.count(SERVICE_COALESCED)
                 if state.status in (_DONE, _FAILED):
-                    tel.count("service.coalesced_cached")
+                    tel.count(SERVICE_COALESCED_CACHED)
                     stream._deliver(self._result_for(state, coalesced=True))
                 else:
-                    tel.count("service.coalesced_inflight")
+                    tel.count(SERVICE_COALESCED_INFLIGHT)
                     state.subscribers.append((stream, True))
                 continue
             self._seq += 1
@@ -381,7 +396,7 @@ class CampaignService:
             heapq.heappush(self._heap, (request.priority, self._seq, key))
             if len(self._heap) > self.max_depth:
                 self.max_depth = len(self._heap)
-            tel.count("service.units_enqueued")
+            tel.count(SERVICE_UNITS_ENQUEUED)
             self._wake.set()
             # Yield so the dispatcher can interleave with bulk
             # submissions instead of the whole batch landing first.
@@ -412,7 +427,7 @@ class CampaignService:
         )
         if entry is None or entry["kind"] != kind:
             return None
-        self.telemetry.count("service.cache_restored")
+        self.telemetry.count(SERVICE_CACHE_RESTORED)
         self._seq += 1
         state = _UnitState(
             key=key,
@@ -434,7 +449,7 @@ class CampaignService:
             return
         # Counted once per blocked admission: the number of unit
         # admissions the rate limiter actually delayed.
-        self.telemetry.count("service.rate_limited_waits")
+        self.telemetry.count(SERVICE_RATE_LIMITED_WAITS)
         await self._park(bucket.waiters, bucket.give_back)
 
     async def _admit_backpressure(self) -> None:
@@ -442,7 +457,7 @@ class CampaignService:
         if self._pending < self.config.max_pending and not self._slot_waiters:
             self._pending += 1
             return
-        self.telemetry.count("service.backpressure_waits")
+        self.telemetry.count(SERVICE_BACKPRESSURE_WAITS)
         await self._park(self._slot_waiters, self._release_slot)
 
     async def _park(
@@ -534,13 +549,13 @@ class CampaignService:
                 # retry (and for every later unit on this world).
                 self._discard_executor(state.world, state.repetitions)
                 if attempt + 1 < attempts:
-                    tel.count("service.unit_retries")
+                    tel.count(SERVICE_UNIT_RETRIES)
                     continue
-                tel.count("service.unit_failures")
+                tel.count(SERVICE_UNIT_FAILURES)
                 break
             except Exception as exc:  # defensive: report, never hang
                 last_error = exc
-                tel.count("service.unit_failures")
+                tel.count(SERVICE_UNIT_FAILURES)
                 break
             state.status = _DONE
             state.result = result
@@ -555,7 +570,7 @@ class CampaignService:
                 )
             if snapshot is not None:
                 tel.merge_snapshot(snapshot)
-                tel.add_virtual("service.unit", snapshot["virtual_seconds"])
+                tel.add_virtual(SPAN_SERVICE_UNIT, snapshot["virtual_seconds"])
                 tel.record_unit_wall(
                     "service", snapshot["wall_seconds"], snapshot["pid"]
                 )
@@ -563,7 +578,7 @@ class CampaignService:
                 # Pool mode with collection disabled at pool init still
                 # contributes to the latency surface.
                 tel.record_unit_wall("service", wall_now() - wall0, 0)
-            tel.count("service.units_executed")
+            tel.count(SERVICE_UNITS_EXECUTED)
             self._fanout(state)
             return
         state.status = _FAILED
@@ -592,18 +607,18 @@ class CampaignService:
     def stats(self) -> Dict[str, float]:
         """Live operational stats, derived from the service counters."""
         counters = self.telemetry.counters
-        requested = counters.get("service.units_requested", 0)
-        coalesced = counters.get("service.coalesced", 0)
+        requested = counters.get(SERVICE_UNITS_REQUESTED, 0)
+        coalesced = counters.get(SERVICE_COALESCED, 0)
         return {
-            "requests": counters.get("service.requests", 0),
+            "requests": counters.get(SERVICE_REQUESTS, 0),
             "units_requested": requested,
-            "units_executed": counters.get("service.units_executed", 0),
+            "units_executed": counters.get(SERVICE_UNITS_EXECUTED, 0),
             "coalesced": coalesced,
             "coalescing_hit_rate": (coalesced / requested) if requested else 0.0,
-            "rate_limited_waits": counters.get("service.rate_limited_waits", 0),
-            "backpressure_waits": counters.get("service.backpressure_waits", 0),
-            "unit_retries": counters.get("service.unit_retries", 0),
-            "unit_failures": counters.get("service.unit_failures", 0),
+            "rate_limited_waits": counters.get(SERVICE_RATE_LIMITED_WAITS, 0),
+            "backpressure_waits": counters.get(SERVICE_BACKPRESSURE_WAITS, 0),
+            "unit_retries": counters.get(SERVICE_UNIT_RETRIES, 0),
+            "unit_failures": counters.get(SERVICE_UNIT_FAILURES, 0),
             "max_queue_depth": self.max_depth,
         }
 

@@ -29,6 +29,12 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from ..persist import PersistError, read_jsonl
 from ..telemetry import NULL_TELEMETRY
+from ..telemetry_registry import (
+    STORE_EPOCHS_APPENDED,
+    STORE_FACTS_APPENDED,
+    STORE_FACTS_LOADED,
+    STORE_QUERIES,
+)
 from .records import Fact
 
 
@@ -114,7 +120,7 @@ class FactStore:
                     f"the manifest {epochs_path} never recorded"
                 )
             self._by_epoch[epoch].add(fact)
-        self.telemetry.count("store.facts_loaded", self.fact_count())
+        self.telemetry.count(STORE_FACTS_LOADED, self.fact_count())
 
     def append_epoch(self, epoch: int, facts: List[Fact]) -> int:
         """Record one epoch's observations (epochs strictly increasing)."""
@@ -138,8 +144,8 @@ class FactStore:
                 json.dumps({"epoch": epoch, "facts": len(unique)}) + "\n"
             )
         self._by_epoch[epoch] = set(unique)
-        self.telemetry.count("store.facts_appended", len(unique))
-        self.telemetry.count("store.epochs_appended")
+        self.telemetry.count(STORE_FACTS_APPENDED, len(unique))
+        self.telemetry.count(STORE_EPOCHS_APPENDED)
         return len(unique)
 
     # -- raw views -------------------------------------------------------
@@ -191,7 +197,7 @@ class FactStore:
         observed = self.epochs()
         position = {epoch: i for i, epoch in enumerate(observed)}
         out: List[FactInterval] = []
-        self.telemetry.count("store.queries")
+        self.telemetry.count(STORE_QUERIES)
         for fact, epochs in sorted(
             self._matching(subject, predicate, obj).items(),
             key=lambda item: (
@@ -226,7 +232,7 @@ class FactStore:
                     fact.object
                 }
         out: List[Transition] = []
-        self.telemetry.count("store.queries")
+        self.telemetry.count(STORE_QUERIES)
         for (subj, pred) in sorted(series):
             per_epoch = series[(subj, pred)]
             previous: FrozenSet[str] = frozenset()

@@ -157,29 +157,32 @@ class TestDnsFakeCursorReset:
             "10.0.0.1", "10.0.0.2", 40000, 53, payload=query.to_bytes()
         )
 
-    def _answers(self, action, n):
+    def _answers(self, action, n, net):
         from repro.netmodel.dns import DNSMessage
         from repro.devices.actions import build_dns_injections
 
         out = []
         for _ in range(n):
-            (forged,) = build_dns_injections(action, self._dns_trigger(), 9, "dev")
+            (forged,) = build_dns_injections(
+                action, self._dns_trigger(), 9, "dev", net=net
+            )
             out.append(DNSMessage.from_bytes(forged.udp.payload).answers[0].address)
         return out
 
     def test_reset_rewinds_rotation(self):
-        from repro.devices.actions import DNSBlockAction, reset_dns_fake_cursor
+        from repro.devices.actions import DNSBlockAction
+        from repro.netmodel.netctx import NetContext
 
         pool = ("198.18.0.1", "198.18.0.2", "198.18.0.3")
         action = DNSBlockAction(fake_addresses=pool)
-        reset_dns_fake_cursor()
-        first_run = self._answers(action, 4)
+        net = NetContext()
+        first_run = self._answers(action, 4, net)
         assert first_run == list(pool) + [pool[0]]  # cycles in pool order
         # Without the rewind the next run would start mid-pool...
-        assert self._answers(action, 1) != [pool[0]]
+        assert self._answers(action, 1, net) != [pool[0]]
         # ...and with it, it is bit-identical to the first.
-        reset_dns_fake_cursor()
-        assert self._answers(action, 4) == first_run
+        net.reset_dns_fake_cursor()
+        assert self._answers(action, 4, net) == first_run
 
     def test_prepare_unit_rewinds_cursor(self):
         """The executor's per-unit reset covers the DNS cursor too."""

@@ -231,6 +231,13 @@ class TestCampaign:
 
         assert main(["report", "--registry", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "counters",
+            "dynamic_counters",
+            "spans",
+            "dynamic_spans",
+            "events",
+        }
         assert payload["counters"] == COUNTERS
         assert payload["spans"] == SPANS
         assert payload["events"] == EVENTS

@@ -1,8 +1,7 @@
-"""Phase-2 cross-module rule families: the telemetry registry contract
-(RP601-RP603), async safety in the campaign service (RP801-RP802), the
-typed-error contract (RP901-RP902), and stale-pragma detection
-(RP001). Each rule has a violating fixture and the real tree holds a
-per-family clean gate.
+"""Phase-2 cross-module rule families: async safety in the campaign
+service (RP801-RP802), the typed-error contract (RP901-RP902), and
+stale-pragma detection (RP001). Each rule has a violating fixture and
+the real tree holds a per-family clean gate.
 """
 
 import sys
@@ -14,131 +13,6 @@ sys.path.insert(0, str(REPO_ROOT))
 from tools import lintkit  # noqa: E402
 
 from tests.test_lintkit import lint_module, rule_ids, write_module  # noqa: E402
-
-#: A minimal well-formed registry fixture (every table present).
-REGISTRY_SRC = (
-    "COUNTERS = {'sim.packets': 'packets sent'}\n"
-    "SPANS = {'campaign': 'one campaign'}\n"
-    "EVENTS = {'stage': 'stage transition'}\n"
-    "DYNAMIC_COUNTERS = {'faults.': 'per-fault-kind counters'}\n"
-    "DYNAMIC_SPANS = {}\n"
-    "INDIRECT_COUNTERS = set()\n"
-    "NONLITERAL_NAME_SITES = {}\n"
-)
-
-
-def lint_with_registry(tmp_path, registry_src, mod_src, select):
-    write_module(tmp_path, "repro.telemetry_registry", registry_src)
-    return lint_module(tmp_path, "repro.mod", mod_src, select=select)
-
-
-# ---------------------------------------------------------------------------
-# RP601-RP603 telemetry registry
-
-
-class TestTelemetryRegistry:
-    def test_unregistered_name_flagged_with_hint(self, tmp_path):
-        found = lint_with_registry(
-            tmp_path,
-            REGISTRY_SRC,
-            "def run(tel):\n    tel.count('sim.packetz')\n",
-            select=["RP601"],
-        )
-        assert rule_ids(found) == ["RP601"]
-        assert "did you mean 'sim.packets'" in found[0].message
-
-    def test_registered_names_clean(self, tmp_path):
-        found = lint_with_registry(
-            tmp_path,
-            REGISTRY_SRC,
-            "def run(tel):\n"
-            "    tel.count('sim.packets')\n"
-            "    tel.span('campaign')\n"
-            "    tel.event(kind='stage')\n",
-            select=["RP601"],
-        )
-        assert found == []
-
-    def test_dynamic_prefix_covers_counter(self, tmp_path):
-        found = lint_with_registry(
-            tmp_path,
-            REGISTRY_SRC,
-            "def run(tel):\n    tel.count('faults.timeout')\n",
-            select=["RP601"],
-        )
-        assert found == []
-
-    def test_missing_registry_module_flagged(self, tmp_path):
-        found = lint_module(
-            tmp_path,
-            "repro.mod",
-            "def run(tel):\n    tel.count('anything')\n",
-            select=["RP601"],
-        )
-        assert rule_ids(found) == ["RP601"]
-        assert "no" in found[0].message and "registry" in found[0].message
-
-    def test_computed_name_flagged(self, tmp_path):
-        found = lint_with_registry(
-            tmp_path,
-            REGISTRY_SRC,
-            "def run(tel, kind):\n    tel.count(f'faults.{kind}')\n",
-            select=["RP602"],
-        )
-        assert rule_ids(found) == ["RP602"]
-        assert "repro.mod:run" in found[0].message
-
-    def test_whitelisted_computed_site_clean(self, tmp_path):
-        registry = REGISTRY_SRC.replace(
-            "NONLITERAL_NAME_SITES = {}",
-            "NONLITERAL_NAME_SITES = "
-            "{'repro.mod:run': 'kind is a closed enum'}",
-        )
-        found = lint_with_registry(
-            tmp_path,
-            registry,
-            "def run(tel, kind):\n    tel.count(f'faults.{kind}')\n",
-            select=["RP602"],
-        )
-        assert found == []
-
-    def test_stale_entry_flagged_at_registry_line(self, tmp_path):
-        found = lint_with_registry(
-            tmp_path,
-            REGISTRY_SRC,
-            "def run(tel):\n"
-            "    tel.span('campaign')\n"
-            "    tel.event(kind='stage')\n",
-            select=["RP603"],
-        )
-        # 'sim.packets' is declared but never emitted.
-        assert rule_ids(found) == ["RP603"]
-        assert "'sim.packets'" in found[0].message
-        assert found[0].path.as_posix().endswith("telemetry_registry.py")
-        assert found[0].line == 1  # the COUNTERS key literal's line
-
-    def test_indirect_counter_exempt_from_staleness(self, tmp_path):
-        registry = REGISTRY_SRC.replace(
-            "INDIRECT_COUNTERS = set()",
-            "INDIRECT_COUNTERS = {'sim.packets'}",
-        )
-        found = lint_with_registry(
-            tmp_path,
-            registry,
-            "def run(tel):\n"
-            "    tel.span('campaign')\n"
-            "    tel.event(kind='stage')\n",
-            select=["RP603"],
-        )
-        assert found == []
-
-    def test_real_tree_clean(self):
-        violations, _ = lintkit.lint(
-            [REPO_ROOT / "src"],
-            root=REPO_ROOT,
-            select=["RP601", "RP602", "RP603"],
-        )
-        assert violations == []
 
 
 # ---------------------------------------------------------------------------

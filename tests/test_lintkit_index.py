@@ -1,6 +1,6 @@
 """Phase 1 of the two-phase analyzer: the ProjectIndex (symbol
-resolution across relative imports and re-exports, telemetry call-site
-collection, build determinism) — plus the walker's unparseable-file
+resolution across relative imports and re-exports, build
+determinism) — plus the walker's unparseable-file
 diagnostics and the --baseline diff contract the CI job relies on.
 """
 
@@ -98,50 +98,6 @@ class TestSymbolResolution:
         assert resolve_relative("repro.mod", False, 0, "os.path") == "os.path"
         # Relative level reaching above the package root is unresolvable.
         assert resolve_relative("repro", False, 3, "x") is None
-
-
-# ---------------------------------------------------------------------------
-# telemetry call-site collection
-
-
-class TestTelemetryCollection:
-    def test_literal_and_computed_names(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.mod",
-            "def run(tel, n):\n"
-            "    tel.count('sim.packets', n)\n"
-            "    tel.count(f'faults.{n}')\n"
-            "    tel.event(kind='stage', label='x')\n"
-            "    tel.span('campaign')\n",
-        )
-        index = build_index(tmp_path)
-        by_api = {(c.api, c.names) for c in index.telemetry_calls}
-        assert ("count", ("sim.packets",)) in by_api
-        assert ("count", ()) in by_api  # computed name -> no literals
-        assert ("event", ("stage",)) in by_api  # kind= keyword
-        assert ("span", ("campaign",)) in by_api
-
-    def test_conditional_literal_yields_both_branches(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.mod",
-            "def run(self, fast):\n"
-            "    self.telemetry.count('a.fast' if fast else 'a.slow')\n",
-        )
-        index = build_index(tmp_path)
-        (call,) = index.telemetry_calls
-        assert call.names == ("a.fast", "a.slow")
-        assert call.function == "run"
-
-    def test_non_telemetry_receiver_ignored(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.mod",
-            "def run(counter):\n    counter.count('x')\n",
-        )
-        index = build_index(tmp_path)
-        assert index.telemetry_calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,42 @@ class TestRunReport:
         assert RunReport().render().startswith("Run report")
 
 
+class TestRegistry:
+    """Telemetry names are constants declared once in the registry."""
+
+    def test_every_declared_name_is_used(self):
+        # A declared constant or family function that no module names
+        # is stale documentation in ``repro report --registry``.
+        import re
+        from pathlib import Path
+
+        from repro import telemetry_registry as registry
+
+        package = Path(registry.__file__).parent
+        used = set()
+        for path in package.rglob("*.py"):
+            if path.name != "telemetry_registry.py":
+                used.update(re.findall(r"\w+", path.read_text()))
+        declared = [
+            name
+            for name, value in vars(registry).items()
+            if not name.startswith("_")
+            and (
+                isinstance(value, str)
+                or getattr(value, "__module__", None) == registry.__name__
+            )
+        ]
+        assert len(declared) > 80
+        assert [name for name in declared if name not in used] == []
+
+    def test_duplicate_declaration_raises(self):
+        from repro import telemetry_registry as registry
+
+        with pytest.raises(ValueError, match="declared twice"):
+            registry._counter("sim.client_packets", "again")
+        assert registry.COUNTERS["sim.client_packets"] != "again"
+
+
 class TestTransitExpiryCounters:
     """Telemetry parity for silent TTL expiry: reverse and injected
     transits count their deaths just like forward expiry does."""

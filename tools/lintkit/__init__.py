@@ -2,8 +2,8 @@
 
 One shared walk, many passes: every ``*.py`` file is parsed exactly
 once (phase 1 also builds the shared
-:class:`~tools.lintkit.index.ProjectIndex` — symbol tables, resolved
-imports, telemetry call sites), then each registered
+:class:`~tools.lintkit.index.ProjectIndex` — symbol tables and resolved
+imports), then each registered
 :class:`~tools.lintkit.base.Rule` inspects the shared tree (per-file
 rules), the whole set (project rules such as the layer-DAG check), or
 the index (cross-module contract rules). Run it via

@@ -28,8 +28,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.lintkit",
         description="Two-phase AST invariant linter (determinism, RNG "
-        "discipline, iteration order, layering, shared state, telemetry "
-        "registry, async safety, error contracts).",
+        "discipline, iteration order, layering, shared state, async "
+        "safety, error contracts).",
     )
     parser.add_argument(
         "paths",

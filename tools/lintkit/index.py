@@ -1,17 +1,11 @@
 """Phase 1 of the two-phase analyzer: the shared :class:`ProjectIndex`.
 
 ``walk_paths`` parses every file once; ``ProjectIndex.build`` then
-sweeps the parsed trees once more and materializes everything the
-phase-2 cross-module passes need:
-
-* per-module **symbol tables** — top-level classes, functions, and
-  literal constants, plus an import table mapping every local binding
-  to the absolute dotted name it refers to (relative imports resolved
-  against the module's own dotted name);
-* **telemetry call sites** — every ``count(...)`` / ``span(...)`` /
-  ``event(kind=...)`` / ``add_virtual(...)`` / ``add_wall(...)`` call
-  on a telemetry-shaped receiver, with its name literal(s) when the
-  name is statically known and the enclosing function otherwise.
+sweeps the parsed trees once more and materializes the per-module
+**symbol tables** the phase-2 cross-module passes need: top-level
+classes, functions, and literal constants, plus an import table mapping
+every local binding to the absolute dotted name it refers to (relative
+imports resolved against the module's own dotted name).
 
 The index is deterministic: two builds over the same tree produce
 identical :meth:`ProjectIndex.to_dict` payloads (covered by tests), so
@@ -25,14 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import FileContext
-
-#: Telemetry APIs whose first argument (or ``kind=`` keyword for
-#: ``event``) is a registry-checked name.
-TELEMETRY_APIS = ("count", "span", "event", "add_virtual", "add_wall")
-
-#: Receivers that mark a call as telemetry: the bare conventional names
-#: or any attribute access ending in them (``self.telemetry.count``).
-TELEMETRY_RECEIVERS = ("tel", "telemetry")
 
 
 def resolve_relative(
@@ -63,26 +49,6 @@ class ClassInfo:
     bases: Tuple[str, ...]  # dotted source text of each base
 
 
-@dataclass(frozen=True)
-class TelemetryCall:
-    """One telemetry emission site.
-
-    ``names`` holds the statically-known name literal(s): one entry for
-    a plain string, both branches for a constant-folded conditional
-    (``"a" if fast else "b"``), and empty when the name is computed at
-    runtime (an f-string, an attribute) — those sites must be
-    whitelisted in the registry.
-    """
-
-    module: str
-    path: str  # relative posix path
-    lineno: int
-    api: str  # count | span | event | add_virtual | add_wall
-    names: Tuple[str, ...]
-    function: str  # dotted enclosing scope ("Class.method") or "<module>"
-    expr: str  # source text of the name argument, for diagnostics
-
-
 @dataclass
 class ModuleInfo:
     """Symbol table for one module."""
@@ -105,36 +71,10 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _is_telemetry_receiver(node: ast.AST) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id in TELEMETRY_RECEIVERS
-    if isinstance(node, ast.Attribute):
-        return node.attr in TELEMETRY_RECEIVERS
-    return False
-
-
-def _name_literals(arg: Optional[ast.AST]) -> Tuple[str, ...]:
-    """Literal name candidates of a telemetry name argument."""
-    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-        return (arg.value,)
-    if isinstance(arg, ast.IfExp):
-        branches = []
-        for branch in (arg.body, arg.orelse):
-            if isinstance(branch, ast.Constant) and isinstance(
-                branch.value, str
-            ):
-                branches.append(branch.value)
-            else:
-                return ()
-        return tuple(branches)
-    return ()
-
-
 class _ModuleIndexer(ast.NodeVisitor):
-    """One pass over a module: symbols, imports, telemetry calls."""
+    """One pass over a module: symbols and imports."""
 
     def __init__(self, ctx: FileContext) -> None:
-        self.ctx = ctx
         self.module = ctx.module or ""
         self.is_package = ctx.path.name == "__init__.py"
         self.info = ModuleInfo(
@@ -145,7 +85,6 @@ class _ModuleIndexer(ast.NodeVisitor):
             functions={},
             constants={},
         )
-        self.calls: List[TelemetryCall] = []
         self._scope: List[str] = []
 
     # -- imports ----------------------------------------------------
@@ -216,40 +155,12 @@ class _ModuleIndexer(ast.NodeVisitor):
             self._record_constant(node.target, node.value)
         self.generic_visit(node)
 
-    # -- telemetry call sites ---------------------------------------
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in TELEMETRY_APIS
-            and _is_telemetry_receiver(func.value)
-        ):
-            arg: Optional[ast.AST] = node.args[0] if node.args else None
-            if func.attr == "event":
-                for kw in node.keywords:
-                    if kw.arg == "kind":
-                        arg = kw.value
-            self.calls.append(
-                TelemetryCall(
-                    module=self.module,
-                    path=self.ctx.relative.as_posix(),
-                    lineno=node.lineno,
-                    api=func.attr,
-                    names=_name_literals(arg),
-                    function=".".join(self._scope) or "<module>",
-                    expr=ast.unparse(arg) if arg is not None else "<none>",
-                )
-            )
-        self.generic_visit(node)
-
 
 class ProjectIndex:
     """The shared phase-1 index consumed by every :class:`IndexRule`."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
-        self.telemetry_calls: List[TelemetryCall] = []
 
     @classmethod
     def build(cls, contexts: Sequence[FileContext]) -> "ProjectIndex":
@@ -260,8 +171,6 @@ class ProjectIndex:
             indexer = _ModuleIndexer(ctx)
             indexer.visit(ctx.tree)
             index.modules[ctx.module] = indexer.info
-            index.telemetry_calls.extend(indexer.calls)
-        index.telemetry_calls.sort(key=lambda c: (c.path, c.lineno, c.api))
         return index
 
     # -- symbol resolution ------------------------------------------
@@ -332,16 +241,4 @@ class ProjectIndex:
                 }
                 for name, info in sorted(self.modules.items())
             },
-            "telemetry_calls": [
-                {
-                    "module": c.module,
-                    "path": c.path,
-                    "lineno": c.lineno,
-                    "api": c.api,
-                    "names": list(c.names),
-                    "function": c.function,
-                    "expr": c.expr,
-                }
-                for c in self.telemetry_calls
-            ],
         }

@@ -30,25 +30,28 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ..base import FileContext, ProjectRule, Violation, register
 from ..index import resolve_relative
 
+#: The telemetry sink and the declared telemetry names: every layer
+#: that emits telemetry imports its name constants from the registry.
+TELEMETRY = {"telemetry", "telemetry_registry"}
+
 #: package -> packages it may import. ``*`` means "anything but the
 #: packages everyone is banned from" (see NEVER_IMPORTED).
 LAYER_DEPS: Dict[str, Set[str]] = {
     "telemetry": set(),
-    # The declared telemetry name registry (RP6xx contract): pure data,
-    # imports nothing; only entry points render it at runtime.
+    # The declared telemetry names: imports nothing from repro.
     "telemetry_registry": set(),
     "netmodel": set(),
-    "netsim": {"netmodel", "telemetry"},
+    "netsim": {"netmodel"} | TELEMETRY,
     "services": {"netmodel", "netsim"},
     "devices": {"netmodel", "netsim", "services"},
     "geo": {"netmodel", "netsim", "devices", "services"},
-    "core": {"netmodel", "netsim", "devices", "services", "geo", "telemetry"},
+    "core": {"netmodel", "netsim", "devices", "services", "geo"} | TELEMETRY,
     # Localization consumes measurement primitives and world routing but
     # must never be imported back by them: the CenTrace classifier's
     # voting seam lives in core/centrace/attribution.py precisely so the
     # edge points localize -> core only.
-    "localize": {"core", "geo", "netmodel", "netsim", "telemetry"},
-    "persist": {"core", "localize", "netmodel", "netsim", "telemetry"},
+    "localize": {"core", "geo", "netmodel", "netsim"} | TELEMETRY,
+    "persist": {"core", "localize", "netmodel", "netsim"} | TELEMETRY,
     "analysis": {"core", "netmodel"},
     "baselines": {"core", "netmodel"},
     "viz": {"core", "geo", "netmodel"},
@@ -63,9 +66,8 @@ LAYER_DEPS: Dict[str, Set[str]] = {
         "netsim",
         "persist",
         "services",
-        "telemetry",
         "viz",
-    },
+    } | TELEMETRY,
     # The campaign service (job queue) sits ABOVE the engine: it may
     # drive the executor and report telemetry, but the engine must
     # never grow a dependency on its own front end.
@@ -76,8 +78,7 @@ LAYER_DEPS: Dict[str, Set[str]] = {
         "netmodel",
         "netsim",
         "persist",
-        "telemetry",
-    },
+    } | TELEMETRY,
     # The fact store reads campaigns (persist/experiments layers) and
     # drift plans (geo) to extract longitudinal records; nothing below
     # the CLI drives it.
@@ -88,8 +89,7 @@ LAYER_DEPS: Dict[str, Set[str]] = {
         "netmodel",
         "netsim",
         "persist",
-        "telemetry",
-    },
+    } | TELEMETRY,
     "cli": {"*"},
     # The package root imports nothing, so `import repro` stays cheap
     # (DESIGN.md, "Import surface").
