@@ -1,10 +1,25 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-update chaos lint serve-smoke epochs-smoke localize-smoke
+.PHONY: test parity bench bench-update chaos lint serve-smoke epochs-smoke localize-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The slow equivalence suites (the CI parity step): batch-vs-scalar
+# parity with the fault-preset grid and generated worlds, memoized vs
+# fresh replies and ECMP selections, the record-codec round trip,
+# positional vs keyword value types, and the 10k-request service
+# acceptance.
+PARITY_TESTS := \
+  tests/netsim/test_batch.py tests/netsim/test_faults.py \
+  tests/netsim/test_properties.py tests/netsim/test_routing.py \
+  tests/services/test_reply_properties.py \
+  tests/integration/test_persist_properties.py \
+  tests/netmodel/test_value_types.py \
+  tests/service/test_swarm.py::TestSwarm::test_ten_thousand_request_acceptance
+parity:
+	$(PYTHON) -m pytest -q --runslow $(PARITY_TESTS)
 
 # Invariant lint suite (tools/lintkit): multi-pass AST analysis —
 # RP101 wall-clock reads, RP2xx seeded-RNG discipline, RP3xx stable

@@ -16,8 +16,13 @@ observable behaviour *exactly*:
 * :class:`BatchEngine.send` is a drop-in replacement for
   :meth:`Simulator.send_from_client` that walks the plan instead of the
   hop list. Uniform loss draws are taken from the simulator's RNG in
-  tight in-order loops (one draw per link crossed, exactly the scalar
-  draw order), so the RNG stream stays bit-identical. Full
+  tight in-order loops between event hops (one draw per link crossed,
+  exactly the scalar draw order), so the RNG stream stays
+  bit-identical. A reverse walk under uniform loss is one *lottery*:
+  a plain ``for`` loop of draws that stops at the first loss, as long
+  as the TTL fixes — every link when the TTL exceeds the routers
+  crossed (every TTL-64 reply: endpoint replies, ICMP errors, control
+  replies), else up to the router that expires it. Full
   :class:`~repro.netmodel.packet.Packet` clones are materialized
   lazily — only when a router's header rewrite (or the arrival TTL)
   makes the in-flight packet differ from the caller's. Devices inspect
@@ -27,13 +32,16 @@ observable behaviour *exactly*:
   TCP connection's payload-less control segments — the SYN, the
   handshake ACK and the FIN that every CenTrace probe's fresh
   connection costs — without a packet at all. Each segment allocates
-  its IP ID, draws its loss and flaky-device fates in walk order, asks
-  every device on the walked span whether it passes the flow untouched
-  (:meth:`~repro.netsim.interfaces.LinkDevice.passes_control`), meets
-  the endpoint's TCP transition, and draws the reply's IP ID and
-  reverse walk; only the reply's flags and sequence number come back.
-  A segment some device may act on (a residually punished tuple) is
-  built and walked by the per-send path instead.
+  its IP ID, asks every device it reaches (the plan's flat
+  ``control_devices`` span) whether it passes the flow untouched
+  (:meth:`~repro.netsim.interfaces.LinkDevice.passes_control`), draws
+  its forward walk (with no fault plan, one lottery of ``last_hop + 1``
+  uniform loss draws; under one, device by device, since flaky-device
+  fates share the fault RNG with loss), meets the endpoint's TCP
+  transition, and draws the reply's IP ID and reverse walk; only the
+  reply's flags and sequence number come back. A segment some device
+  may act on (a residually punished tuple) is built and walked by the
+  per-send path instead.
 * :meth:`BatchEngine.run_udp_ladder` batches a whole TTL ladder of
   independent single-packet probes as parallel arrays (TTLs, source
   ports, IP IDs, loss fates), materializing a packet only for probes
@@ -64,6 +72,7 @@ rewound by the per-unit reset protocol.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..netmodel import tcp as tcpmod
@@ -152,6 +161,7 @@ class PathPlan:
         "rewrites",
         "nodes",
         "control_terminal",
+        "control_devices",
         "_loss_profile",
         "_loss_rates",
     )
@@ -206,8 +216,16 @@ class PathPlan:
         )
         self.rewrites = tuple(rewrites)
         self.nodes = nodes
-        # Every handshake and teardown segment is sent at one TTL.
+        # Every handshake and teardown segment is sent at one TTL, so
+        # its terminal and the devices it reaches are fixed per path.
         self.control_terminal = self.terminal_for(_CONTROL_TTL)
+        control_last = self.control_terminal[1]
+        self.control_devices = tuple(
+            device
+            for index, devices in self.device_hops
+            if index <= control_last
+            for device in devices
+        )
         self._loss_profile: Optional[LossProfile] = None
         self._loss_rates: Tuple[Tuple[float, ...], float] = ((), 0.0)
 
@@ -308,14 +326,12 @@ class BatchEngine:
         self.begin_batch(label)
         return BatchEngine._BatchFrame(self)
 
-    def _note(self, fast: bool) -> None:
+    def _note_fallback(self) -> None:
         tel = self.sim.telemetry
         if tel.enabled:
-            tel.count(
-                SIM_BATCH_FAST_PATH if fast else SIM_BATCH_SCALAR_FALLBACK
-            )
+            tel.count(SIM_BATCH_SCALAR_FALLBACK)
         if self._batches:
-            self._batches[-1][1 if fast else 2] += 1
+            self._batches[-1][2] += 1
 
     # -- plan / route caches -------------------------------------------
 
@@ -362,7 +378,7 @@ class BatchEngine:
         """
         sim = self.sim
         if sim._capture_enabled:
-            self._note(False)
+            self._note_fallback()
             return sim.send_from_client(packet)
         ip = packet.ip
         plan = self._enter(ip.src, ip.dst, flow, packet)
@@ -381,8 +397,11 @@ class BatchEngine:
         advance the clock, count it toward path churn, then pick its
         path. ``flow`` is the ECMP hash key; on a multi-path route a
         missing one is taken from ``packet``."""
-        self._note(True)
         sim = self.sim
+        if sim.telemetry.enabled:
+            sim.telemetry.count(SIM_BATCH_FAST_PATH)
+        if self._batches:
+            self._batches[-1][1] += 1
         sim.clock += sim.per_packet_time
         faults = sim._faults
         path_seed = sim.seed
@@ -438,15 +457,11 @@ class BatchEngine:
                             tel.count(SIM_PACKETS_LOST)
                         return True
             return False
-        faults = sim._faults
-        rnd = faults.rng.random
+        rnd = sim._faults.rng.random
         for j in range(start, stop):
             rate = rates[j]
             if rate > 0.0 and rnd() < rate:
-                faults.counters.packets_lost += 1
-                if tel.enabled:
-                    tel.count(SIM_FAULT_LOSS_ROLLS, j + 1 - start)
-                    tel.count(SIM_PACKETS_LOST)
+                self._fault_lost(j + 1 - start)
                 return True
         if tel.enabled and stop > start:
             tel.count(SIM_FAULT_LOSS_ROLLS, stop - start)
@@ -463,7 +478,9 @@ class BatchEngine:
         tel = sim.telemetry
         tel_on = tel.enabled
         rates, flaky = self._fault_walk(plan)
-        lossy = rates is not None or sim.loss_rate > 0
+        # Uniform loss is drawn in place; a profile's through _forward_lost.
+        rate = sim.loss_rate if rates is None else 0.0
+        rnd = sim._rng.random
         faults = sim._faults
         start_ttl = packet.ip.ttl
         client_ip = packet.ip.src
@@ -474,9 +491,16 @@ class BatchEngine:
         for dev_hop, devices in plan.device_hops:
             if dev_hop > last_hop:
                 break
-            if lossy:
+            if rates is not None:
                 if self._forward_lost(rates, cursor, dev_hop + 1):
                     return
+                cursor = dev_hop + 1
+            elif rate > 0:
+                for _ in range(cursor, dev_hop + 1):
+                    if rnd() < rate:
+                        if tel_on:
+                            tel.count(SIM_PACKETS_LOST)
+                        return
                 cursor = dev_hop + 1
             if walk_pkt is None and (
                 plan.rewrites and plan.rewrites[0][0] < dev_hop
@@ -519,8 +543,15 @@ class BatchEngine:
                     if tel_on:
                         tel.count(SIM_DEVICE_DROPS)
                     return
-        if lossy and self._forward_lost(rates, cursor, last_hop + 1):
-            return
+        if rates is not None:
+            if self._forward_lost(rates, cursor, last_hop + 1):
+                return
+        elif rate > 0:
+            for _ in range(cursor, last_hop + 1):
+                if rnd() < rate:
+                    if tel_on:
+                        tel.count(SIM_PACKETS_LOST)
+                    return
         if terminal is _EXPIRE:
             self._expire(
                 plan,
@@ -699,8 +730,11 @@ class BatchEngine:
         (hops ``start_index-1 .. 0`` plus the client link, in order),
         TTL decrement at routers with silent expiry. Under a fault-plan
         loss profile the draws come from the fault RNG at the plan's
-        cached per-link rates. With no loss at all the whole walk
-        reduces to one subtraction against the plan's router counts.
+        cached per-link rates. Uniform loss is one lottery whose length
+        the TTL fixes: all ``start_index + 1`` links when the TTL
+        exceeds the routers crossed (every TTL-64 reply), else the links
+        up to the router that expires it. With no loss at all the whole
+        walk reduces to one subtraction against the plan's router counts.
         """
         sim = self.sim
         tel = sim.telemetry
@@ -716,7 +750,7 @@ class BatchEngine:
                 rolls += 1
                 link_rate = rates[j]
                 if link_rate > 0.0 and rnd() < link_rate:
-                    self._fault_reverse_lost(rolls)
+                    self._fault_lost(rolls)
                     return None
                 if is_router[j]:
                     ttl -= 1
@@ -727,39 +761,36 @@ class BatchEngine:
                         return None
             rolls += 1
             if client_rate > 0.0 and rnd() < client_rate:
-                self._fault_reverse_lost(rolls)
+                self._fault_lost(rolls)
                 return None
             if tel_on:
                 tel.count(SIM_FAULT_LOSS_ROLLS, rolls)
             return ttl
+        crossed = plan.routers_before[start_index]
         if rate > 0:
+            if ttl > crossed:
+                draws = start_index + 1
+            else:
+                # The router at hop j expires it, the last hop with
+                # routers_before[j] == crossed - ttl, after the draws for
+                # links start_index-1 .. j.
+                draws = start_index + 1 - bisect_left(
+                    plan.routers_before, crossed - ttl + 1
+                )
             rnd = sim._rng.random
-            is_router = plan.is_router
-            for j in range(start_index - 1, -1, -1):
+            for _ in range(draws):
                 if rnd() < rate:
                     if tel_on:
                         tel.count(SIM_PACKETS_LOST)
                     return None
-                if is_router[j]:
-                    ttl -= 1
-                    if ttl <= 0:
-                        if tel_on:
-                            tel.count(SIM_REVERSE_TTL_EXPIRED)
-                        return None
-            if rnd() < rate:
-                if tel_on:
-                    tel.count(SIM_PACKETS_LOST)
-                return None
-            return ttl
-        crossed = plan.routers_before[start_index]
         if ttl <= crossed:
             if tel_on:
                 tel.count(SIM_REVERSE_TTL_EXPIRED)
             return None
         return ttl - crossed
 
-    def _fault_reverse_lost(self, rolls: int) -> None:
-        """Account a reverse-walk fault-plan loss after ``rolls`` links."""
+    def _fault_lost(self, rolls: int) -> None:
+        """Account a fault-plan loss after ``rolls`` links rolled."""
         sim = self.sim
         sim._faults.counters.packets_lost += 1
         tel = sim.telemetry
@@ -835,15 +866,15 @@ class BatchEngine:
         ``(flags, seq)`` of each TCP packet delivered back, in order.
 
         Equivalent to building the segment with ``tcp_packet`` and
-        :meth:`send`-ing it. When every device on the walked span
-        ``passes_control`` the flow, and the segment is not going to
-        expire at a router, no packet is built: the segment's IP ID is
-        allocated, its loss and flaky-device fates are drawn as
-        :meth:`_walk_forward` draws them, the endpoint applies its TCP
-        transition, and the reply's IP ID and reverse walk follow. A
-        delivery profile shapes the reply's ``(flags, seq)``, so the
-        reply is never built either. Otherwise the segment is built and
-        walked by :meth:`_walk_forward`.
+        :meth:`send`-ing it. When every device the segment reaches
+        (``plan.control_devices``) ``passes_control`` the flow, and the
+        segment is not going to expire at a router, no packet is built:
+        the segment's IP ID is allocated, its loss and flaky-device
+        fates are drawn as :meth:`_walk_forward` draws them, the
+        endpoint applies its TCP transition, and the reply's IP ID and
+        reverse walk follow. A delivery profile shapes the reply's
+        ``(flags, seq)``, so the reply is never built either. Otherwise
+        the segment is built and walked by :meth:`_walk_forward`.
         """
         sim = self.sim
         net = sim.net_context
@@ -851,7 +882,14 @@ class BatchEngine:
         ip_id = net.next_ip_id()
         plan = self._enter(flow.src, flow.dst, flow)
         terminal, last_hop, _ = plan.control_terminal
-        if terminal is _EXPIRE or not self._control_passes(plan, last_hop, flow):
+        resolvable = terminal is not _EXPIRE
+        if resolvable:
+            clock = sim.clock
+            for device in plan.control_devices:
+                if not device.passes_control(flow, clock):
+                    resolvable = False
+                    break
+        if not resolvable:
             packet = tcp_packet(
                 flow.src,
                 flow.dst,
@@ -870,8 +908,13 @@ class BatchEngine:
                 for p in self._leave(deliveries)
                 if p.tcp is not None
             ]
+        faults = sim._faults
+        if faults is None:
+            reached = self._control_lottery(plan, last_hop)
+        else:
+            reached = self._control_walk(plan, last_hop)
         replies: List[Tuple[int, int]] = []
-        if self._control_walk(plan, last_hop) and terminal is _DELIVER:
+        if reached and terminal is _DELIVER:
             stack = sim._stack_for(plan.endpoint)
             reply = stack.transition(
                 flow.src, flow.dst, flow.sport, flow.dport, flags, seq, ack
@@ -880,12 +923,10 @@ class BatchEngine:
                 net.next_ip_id()  # the reply's IP ID
                 if self._reverse_ttl(plan, stack.REPLY_TTL, last_hop) is not None:
                     replies.append(reply[:2])
-                    if sim._faults is not None:
+                    if faults is not None:
                         # Duplication and reordering draw per delivery;
                         # the reply's (flags, seq) is all they move.
-                        replies = sim._faults.shape_deliveries(
-                            replies, tuple
-                        )
+                        replies = faults.shape_deliveries(replies, tuple)
         tel = sim.telemetry
         if tel.enabled:
             tel.count(SIM_CLIENT_PACKETS)
@@ -894,25 +935,46 @@ class BatchEngine:
                 tel.count(SIM_DELIVERIES, len(replies))
         return replies
 
-    def _control_passes(
-        self, plan: PathPlan, last_hop: int, flow: FlowKey
-    ) -> bool:
-        """Does every device up to hop ``last_hop`` pass ``flow``'s
-        control segment untouched? Asked before any fate is drawn."""
-        clock = self.sim.clock
-        for dev_hop, devices in plan.device_hops:
-            if dev_hop > last_hop:
-                break
-            for device in devices:
-                if not device.passes_control(flow, clock):
-                    return False
-        return True
+    def _control_lottery(self, plan: PathPlan, last_hop: int) -> bool:
+        """The forward walk of a control segment that every device
+        passes, with no fault plan: one lottery of ``last_hop + 1``
+        uniform loss draws from the base RNG, exactly the draws of
+        :meth:`_walk_forward`. True when the segment reaches hop
+        ``last_hop``.
+
+        Nothing happens between the draws but device inspections, so
+        ``sim.device_inspections`` is counted afterwards, for the
+        devices before the link where the lottery stopped.
+        """
+        sim = self.sim
+        tel = sim.telemetry
+        stop = last_hop + 1
+        crossed = stop  # links crossed before the losing one
+        rate = sim.loss_rate
+        if rate > 0:
+            rnd = sim._rng.random
+            for link in range(stop):
+                if rnd() < rate:
+                    if tel.enabled:
+                        tel.count(SIM_PACKETS_LOST)
+                    crossed = link
+                    break
+        if tel.enabled and plan.control_devices:
+            inspected = 0
+            for dev_hop, devices in plan.device_hops:
+                if dev_hop >= crossed:
+                    break
+                inspected += len(devices)
+            if inspected:
+                tel.count(SIM_DEVICE_INSPECTIONS, inspected)
+        return crossed == stop
 
     def _control_walk(self, plan: PathPlan, last_hop: int) -> bool:
         """The forward walk of a control segment that every device
-        passes: :meth:`_walk_forward`'s loss draws and flaky-device
-        fates, in its order, with one inspection counted per device
-        reached. True when the segment reaches hop ``last_hop``."""
+        passes, under a fault plan: :meth:`_walk_forward`'s loss draws
+        and flaky-device fates, in its order, with one inspection
+        counted per device reached. True when the segment reaches hop
+        ``last_hop``."""
         sim = self.sim
         tel = sim.telemetry
         tel_on = tel.enabled

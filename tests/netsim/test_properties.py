@@ -11,13 +11,21 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).parent.parent))
 from helpers import BLOCKED_DOMAIN, OK_DOMAIN, build_linear_world
 
-from repro.devices.actions import KIND_DROP, KIND_RST, BlockAction
+from repro.devices.actions import (
+    KIND_DROP,
+    KIND_RST,
+    TTL_COPY,
+    TTL_FIXED,
+    BlockAction,
+    InjectionSignature,
+)
 from repro.devices.base import CensorshipDevice
 from repro.devices.rules import Blocklist
 from repro.devices.state import RESIDUAL_3TUPLE, RESIDUAL_HOSTS, RESIDUAL_OFF
 from repro.netmodel.http import HTTPRequest
 from repro.netsim.faults import PRESETS
 from repro.netsim.tcpstack import open_connection
+from repro.telemetry_registry import SIM_REVERSE_TTL_EXPIRED
 
 from .test_batch import run_pair, tcp_workflow
 
@@ -100,7 +108,12 @@ class TestForwardingInvariants:
 def linear_worlds(draw):
     """A linear world's knobs: where the device and a header-rewriting
     router sit (or none), loss, an open or closed port, how the device
-    acts and punishes, and a fault-plan preset (or none)."""
+    acts, stamps its forged packets' TTL and punishes, and a fault-plan
+    preset (or none).
+
+    A TTL-copying injector's replies start back with the probe's
+    remaining TTL, so a low-TTL probe's forged RST can die of TTL on
+    the way back, the reverse walk that still decrements hop by hop."""
     n_routers = draw(st.integers(min_value=2, max_value=8))
     hop = st.none() | st.integers(min_value=0, max_value=n_routers - 1)
     return {
@@ -110,6 +123,7 @@ def linear_worlds(draw):
         "loss_rate": draw(st.floats(min_value=0.0, max_value=0.3)),
         "port": draw(st.sampled_from([80, 8080])),
         "action": draw(st.sampled_from([KIND_DROP, KIND_RST])),
+        "ttl_mode": draw(st.sampled_from([TTL_FIXED, TTL_COPY])),
         "residual_mode": draw(
             st.sampled_from([RESIDUAL_OFF, RESIDUAL_HOSTS, RESIDUAL_3TUPLE])
         ),
@@ -127,7 +141,10 @@ def generated_world(params):
             device = CensorshipDevice(
                 "generated",
                 blocklist=Blocklist.for_domains([BLOCKED_DOMAIN]),
-                action=BlockAction(kind=params["action"]),
+                action=BlockAction(
+                    kind=params["action"],
+                    signature=InjectionSignature(ttl_mode=params["ttl_mode"]),
+                ),
                 residual_mode=params["residual_mode"],
                 residual_duration=3.0,
             )
@@ -148,13 +165,15 @@ def generated_world(params):
 
 
 def check_parity(params):
+    """Run both engines on ``params``' world and assert they agree;
+    returns the batched run's telemetry counters."""
     plan = params["plan"]
-    run_pair(
+    return run_pair(
         generated_world(params),
         params["loss_rate"],
         workload=functools.partial(tcp_workflow, n=12, port=params["port"]),
         plan=PRESETS[plan] if plan is not None else None,
-    )
+    )[2]
 
 
 class TestGeneratedWorldParity:
@@ -165,6 +184,34 @@ class TestGeneratedWorldParity:
     @given(params=linear_worlds())
     def test_tcp_workflow_parity(self, params):
         check_parity(params)
+
+    @pytest.mark.parametrize(
+        "loss_rate, plan", [(0.0, None), (0.1, None), (0.0, "lossy")]
+    )
+    @pytest.mark.parametrize("device_link", [2, 3])
+    def test_ttl_copy_replies_expire_on_the_way_back(
+        self, device_link, loss_rate, plan
+    ):
+        """Probes that reach the device with at most as much TTL left
+        as routers behind it draw forged RSTs that die of TTL on the way
+        back (the TTL-4 probes: 2 of TTL left against 2 routers behind
+        the device at link 2, 1 against 3 at link 3); the engines agree
+        on those walks under uniform loss and a loss profile too."""
+        counters = check_parity(
+            {
+                "n_routers": 6,
+                "device_link": device_link,
+                "rewrite_hop": None,
+                "loss_rate": loss_rate,
+                "port": 80,
+                "action": KIND_RST,
+                "ttl_mode": TTL_COPY,
+                "residual_mode": RESIDUAL_OFF,
+                "plan": plan,
+                "seed": 1,
+            }
+        )
+        assert counters[SIM_REVERSE_TTL_EXPIRED] > 0
 
     @pytest.mark.slow
     @settings(max_examples=500, deadline=None)
