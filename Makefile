@@ -6,14 +6,17 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# The slow equivalence suites (the CI parity step): batch-vs-scalar
-# parity with the fault-preset grid and generated worlds, memoized vs
+# The slow equivalence suites (the CI parity step): batch-vs-oracle
+# parity with the fault-preset grid and generated worlds and fault
+# plans, the reference oracle's own suites (tests/oracle holds the
+# scalar walk; test_transit and test_capture pin it), memoized vs
 # fresh replies and ECMP selections, the record-codec round trip,
 # positional vs keyword value types, and the 10k-request service
 # acceptance.
 PARITY_TESTS := \
   tests/netsim/test_batch.py tests/netsim/test_faults.py \
   tests/netsim/test_properties.py tests/netsim/test_routing.py \
+  tests/netsim/test_transit.py tests/netsim/test_capture.py \
   tests/services/test_reply_properties.py \
   tests/integration/test_persist_properties.py \
   tests/netmodel/test_value_types.py \

@@ -26,17 +26,14 @@ OUTPUT_PATH = Path(__file__).parent / "output" / "BENCH_campaign.json"
 REGRESSION_TOLERANCE = 0.20  # fail when >20% slower than baseline
 
 
-def measure_probe_throughput(
-    probes: int = 3000, telemetry: bool = False, batched: bool = True
-) -> float:
+def measure_probe_throughput(probes: int = 3000, telemetry: bool = False) -> float:
     """Probes per second on the canonical 8-hop perf topology.
 
-    ``batched=True`` (the headline) routes each connection's sends
-    through the batched packet plane (``sim.batch_engine()``) exactly
-    as CenTrace and CenFuzz do; ``batched=False`` measures the scalar
-    ``_run_transit`` walk as a reference. ``telemetry=True`` installs
-    an active telemetry sink on the simulator, measuring the overhead
-    of the instrumented path relative to the NullTelemetry hot path.
+    Each connection's sends go through the batched packet plane
+    (``sim.batch_engine()``) exactly as CenTrace and CenFuzz do.
+    ``telemetry=True`` installs an active telemetry sink on the
+    simulator, measuring the overhead of the instrumented path relative
+    to the NullTelemetry hot path.
     """
     from repro.netmodel.http import HTTPRequest
     from repro.netsim.tcpstack import open_connection
@@ -48,7 +45,7 @@ def measure_probe_throughput(
         from repro.telemetry import Telemetry
 
         sim.set_telemetry(Telemetry())
-    engine = sim.batch_engine() if batched else None
+    engine = sim.batch_engine()
     payload = HTTPRequest.normal("ok.example").build()
 
     def probe() -> None:
@@ -66,12 +63,9 @@ def measure_probe_throughput(
 
 
 def measure_ladder_throughput(probes: int = 6000) -> float:
-    """Probes per second for a batched UDP TTL ladder (array fast path).
-
-    This is the pure array path: whole ladders submitted through
-    ``BatchEngine.run_udp_ladder`` against a resolver endpoint, where
-    packets are only materialized for probes whose terminal event needs
-    one.
+    """Probes per second for UDP TTL ladders submitted through
+    ``BatchEngine.run_udp_ladder`` against a resolver endpoint (one
+    batch frame per ladder, each probe a ``send()``).
     """
     from benchmarks.test_perf import _dns_world
 
@@ -178,18 +172,13 @@ def main(argv=None) -> int:
 
     probes_per_s = measure_probe_throughput()
     print(f"probe throughput (batched): {probes_per_s:,.0f} probes/s")
-    scalar_per_s = measure_probe_throughput(batched=False)
-    print(
-        f"probe throughput (scalar reference): {scalar_per_s:,.0f} probes/s "
-        f"({probes_per_s / scalar_per_s:.2f}x batched speedup)"
-    )
     metered_per_s = measure_probe_throughput(telemetry=True)
     print(
         f"probe throughput (telemetry on): {metered_per_s:,.0f} probes/s "
         f"({probes_per_s / metered_per_s:.2f}x overhead factor)"
     )
     ladder_per_s = measure_ladder_throughput()
-    print(f"udp ladder throughput (array path): {ladder_per_s:,.0f} probes/s")
+    print(f"udp ladder throughput: {ladder_per_s:,.0f} probes/s")
     campaign = measure_campaign(args.scale, args.repetitions)
     if campaign["speedup_x4"] is not None:
         parallel_note = f"({campaign['speedup_x4']}x)"
@@ -207,10 +196,8 @@ def main(argv=None) -> int:
         # run (fresh connection + TTL-limited payload + close) through
         # the batched packet plane.
         "probe_throughput_per_s": round(probes_per_s, 1),
-        # Informational (not gated): the same workload on the scalar
-        # engine, the instrumented (telemetry-on) batched path, and the
-        # pure array ladder.
-        "probe_throughput_scalar_per_s": round(scalar_per_s, 1),
+        # Informational (not gated): the instrumented (telemetry-on)
+        # path and the UDP ladder.
         "probe_throughput_telemetry_per_s": round(metered_per_s, 1),
         "udp_ladder_throughput_per_s": round(ladder_per_s, 1),
         "campaign": campaign,

@@ -81,23 +81,9 @@ def test_perf_probe_roundtrip(benchmark):
     benchmark(probe)
 
 
-def test_perf_probe_roundtrip_scalar(benchmark):
-    """The same probe on the scalar engine (the batched path's
-    reference point)."""
-    sim, client, endpoint = _world(with_device=False)
-    payload = HTTPRequest.normal("ok.example").build()
-
-    def probe():
-        conn = open_connection(sim, client, endpoint.ip, 80)
-        conn.send_payload(payload, ttl=4)
-        conn.close()
-
-    benchmark(probe)
-
-
 def test_perf_udp_ladder_batched(benchmark):
-    """One batched TTL ladder (12 UDP probes) through run_udp_ladder —
-    the array fast path where packets are materialized lazily."""
+    """One TTL ladder (12 UDP probes) through run_udp_ladder, one
+    batch frame of per-probe sends."""
     sim, client, endpoint = _dns_world()
     engine = sim.batch_engine()
     ttls = list(range(1, 13))

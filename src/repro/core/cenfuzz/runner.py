@@ -163,8 +163,7 @@ class CenFuzz:
         self.client = client
         self.config = config or CenFuzzConfig()
         self.matcher = matcher or DEFAULT_MATCHER
-        # Probe traffic rides the batched packet plane (scalar fallback
-        # applies automatically while capture is on).
+        # Probe traffic rides the batched packet plane.
         self.engine = sim.batch_engine()
         self._strategies = all_strategies()
         # Built payload per (permutation, domain): permutation builders

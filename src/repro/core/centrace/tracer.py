@@ -165,9 +165,7 @@ class CenTrace:
         self.asdb = asdb
         self.config = config or CenTraceConfig()
         self.matcher = blockpage_matcher or DEFAULT_MATCHER
-        # All probe traffic goes through the batched packet plane; the
-        # engine transparently falls back to the scalar walk only while
-        # capture is on.
+        # All probe traffic goes through the batched packet plane.
         self.engine = sim.batch_engine()
 
     # -- public API -------------------------------------------------------

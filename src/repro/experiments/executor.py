@@ -15,7 +15,7 @@ Two properties make that possible:
 2. Every unit starts from the same canonical state regardless of which
    process — or in what order — executes it. :func:`prepare_unit`
    resets all cross-measurement mutable state (simulator clock/RNG/
-   stacks/capture, device residual and injection tracking, and the
+   stacks, device residual and injection tracking, and the
    simulator-owned :class:`~repro.netmodel.netctx.NetContext` whose
    streams supply every IP ID, ephemeral port, injected sequential
    IP ID and fake-DNS cursor value) and re-seeds the simulator RNG

@@ -25,7 +25,7 @@ from .interfaces import (
     Verdict,
 )
 from .routing import Hop, Path, Route, single_path_route
-from .simulator import CaptureRecord, Simulator
+from .simulator import Simulator
 from .tcpstack import Connection, ProbeResult, open_connection
 from .topology import Client, Endpoint, Node, Router, Service, Topology
 
@@ -48,7 +48,6 @@ __all__ = [
     "Path",
     "Route",
     "single_path_route",
-    "CaptureRecord",
     "Simulator",
     "Connection",
     "ProbeResult",

@@ -1,33 +1,30 @@
-"""Batched packet-plane fast path: compiled path plans + array ladders.
+"""The packet plane: compiled path plans walked event hop to event hop.
 
-The unified transit engine (:meth:`Simulator._run_transit`) walks one
-packet at a time, paying the full staged hop loop — loss roll, device
-stage, node arrival — at every hop even though the vast majority of
-hops are pure routers whose only observable effects are a TTL decrement
-and (possibly) one loss draw. This module removes that per-hop
-interpretation for the common case while reproducing the scalar walk's
-observable behaviour *exactly*:
+This is the simulator's one packet engine (``sim.batch_engine()``).
+Most hops are pure routers whose only observable effects are a TTL
+decrement and (possibly) one loss draw, so a walk does not interpret
+the path hop by hop:
 
 * :class:`PathPlan` compiles a :class:`~repro.netsim.routing.Path` once
   into flat per-hop arrays — router flags, cumulative router counts,
   device attachment points, header-rewrite sites, the terminal hop —
   so a walk only has to visit its *event* hops (devices, TTL expiry,
   the endpoint) and can resolve everything between them arithmetically.
-* :class:`BatchEngine.send` is a drop-in replacement for
-  :meth:`Simulator.send_from_client` that walks the plan instead of the
-  hop list. Uniform loss draws are taken from the simulator's RNG in
-  tight in-order loops between event hops (one draw per link crossed,
-  exactly the scalar draw order), so the RNG stream stays
-  bit-identical. A reverse walk under uniform loss is one *lottery*:
-  a plain ``for`` loop of draws that stops at the first loss, as long
-  as the TTL fixes — every link when the TTL exceeds the routers
-  crossed (every TTL-64 reply: endpoint replies, ICMP errors, control
-  replies), else up to the router that expires it. Full
+* :meth:`BatchEngine.send` walks one client packet on its plan.
+  Uniform loss draws are taken from the simulator's RNG in tight
+  in-order loops between event hops, one draw per link crossed. A
+  reverse walk under uniform loss is one *lottery*: a plain ``for``
+  loop of draws that stops at the first loss, as long as the TTL fixes
+  — every link when the TTL exceeds the routers crossed (every TTL-64
+  reply: endpoint replies, ICMP errors, control replies), else up to
+  the router that expires it. Full
   :class:`~repro.netmodel.packet.Packet` clones are materialized
   lazily — only when a router's header rewrite (or the arrival TTL)
   makes the in-flight packet differ from the caller's. Devices inspect
   the caller's packet itself unless a rewrite precedes them
   (:meth:`~repro.netsim.interfaces.LinkDevice.inspect` is read-only).
+  A device's forgeries walk the same plan: toward the client through
+  the reverse walk, toward the server through :meth:`_walk_injected`.
 * :meth:`BatchEngine.connect` and :meth:`BatchEngine.close` carry a
   TCP connection's payload-less control segments — the SYN, the
   handshake ACK and the FIN that every CenTrace probe's fresh
@@ -42,27 +39,18 @@ observable behaviour *exactly*:
   reply's flags and sequence number come back. A segment some device
   may act on (a residually punished tuple) is built and walked by the
   per-send path instead.
-* :meth:`BatchEngine.run_udp_ladder` batches a whole TTL ladder of
-  independent single-packet probes as parallel arrays (TTLs, source
-  ports, IP IDs, loss fates), materializing a packet only for probes
-  whose terminal event needs one (a responding router's ICMP quote, an
-  endpoint delivery). Lost probes and silent-router expiries consume
-  their identifier allocations — keeping the NetContext streams
-  bit-identical with the scalar loop — without ever building a packet.
 
-Fault plans run on the same compiled plans, in the scalar walk's draw
-order: per-link loss profiles draw from the fault RNG against per-hop
-rates cached on the plan, flaky-device fates are rolled before each
-inspection, token-bucket ICMP suppression is checked on expiry, and
-path churn and delivery shaping wrap each send — control segments
-included — exactly as in ``send_from_client``. Only capture mode (whose
-pcap-like log names every hop event) falls back *transparently* to the
-scalar engine (``sim.send_from_client`` / ``_run_transit``), as do
-injected-to-server continuations mid-walk. Correctness therefore never
-depends on batch coverage; the batch hit rate is visible via the
-``sim.batch_fast_path`` / ``sim.batch_scalar_fallback`` counters (with
-``sim.batch_control_resolved`` counting the control segments that never
-became packets) and the per-batch ``sim.batch`` size events.
+Fault plans run on the same compiled plans: per-link loss profiles
+draw from the fault RNG against per-hop rates cached on the plan,
+flaky-device fates are rolled before each inspection, token-bucket
+ICMP suppression is checked on expiry, and path churn and delivery
+shaping wrap each send, control segments included. Every walk
+reproduces the reference semantics of the scalar transit walk kept
+with the tests (``tests/oracle``) exactly — deliveries, the RNG draw
+streams, identifier streams, the clock and telemetry — which the
+parity suites check. ``sim.batch_fast_path`` counts client sends,
+``sim.batch_control_resolved`` the control segments that never became
+packets, and a ``sim.batch`` event records each logical batch's size.
 
 Like every allocator-adjacent module, this file must hold **no**
 module-level state (lintkit RP503 enforces it): plans are cached on the
@@ -78,14 +66,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..netmodel import tcp as tcpmod
 from ..netmodel.ip import DEFAULT_TTL, FlowKey, IPHeader, checksum16
 from ..netmodel.icmp import time_exceeded
-from ..netmodel.packet import Packet, icmp_packet, tcp_packet
-from ..netmodel.udp import UDPDatagram
+from ..netmodel.packet import Packet, icmp_packet, tcp_packet, udp_packet
 from ..telemetry_registry import (
     EVENT_SIM_BATCH,
     SIM_BATCHES,
     SIM_BATCH_CONTROL_RESOLVED,
     SIM_BATCH_FAST_PATH,
-    SIM_BATCH_SCALAR_FALLBACK,
     SIM_CLIENT_PACKETS,
     SIM_DELIVERIES,
     SIM_DEVICE_ACTIONS,
@@ -98,17 +84,14 @@ from ..telemetry_registry import (
     SIM_ICMP_SILENT,
     SIM_INJECTED_TO_CLIENT,
     SIM_INJECTED_TO_SERVER,
+    SIM_INJECTED_TTL_EXPIRED,
     SIM_PACKETS_LOST,
     SIM_REVERSE_TTL_EXPIRED,
 )
 from .faults import FATE_FAIL_CLOSED, FATE_FAIL_OPEN, LossProfile
 from .interfaces import DIRECTION_FORWARD, InspectionContext, Verdict
 from .routing import Path
-from .simulator import (
-    POLICY_INJECTED_TO_SERVER,
-    Simulator,
-    Transit,
-)
+from .simulator import Simulator
 from .topology import Endpoint, Router
 
 # Terminal kinds a forward walk can reach (plan-resolved, not searched).
@@ -266,7 +249,7 @@ class PathPlan:
 
 
 class BatchEngine:
-    """The batched fast path for one simulator's packet plane.
+    """The packet plane of one simulator.
 
     One engine per simulator (``sim.batch_engine()``); the measurement
     tools route their sends through it and frame logical batches (a
@@ -283,27 +266,21 @@ class BatchEngine:
         # (src, dst) -> (route, plan of its only path, or None when ECMP
         # picks one of several per flow).
         self._routes = {}
-        self._batches = []  # stack of [label, fast, fallback]
+        self._batches = []  # stack of [label, size]
 
     # -- batch framing -------------------------------------------------
 
     def begin_batch(self, label: str = "") -> None:
         """Open a logical batch (a sweep, an endpoint run, a ladder)."""
-        self._batches.append([label, 0, 0])
+        self._batches.append([label, 0])
 
     def end_batch(self) -> None:
         """Close the innermost batch, emitting its size histogram event."""
-        label, fast, fallback = self._batches.pop()
+        label, size = self._batches.pop()
         tel = self.sim.telemetry
         if tel.enabled:
             tel.count(SIM_BATCHES)
-            tel.event(
-                EVENT_SIM_BATCH,
-                label=label,
-                size=fast + fallback,
-                fast=fast,
-                fallback=fallback,
-            )
+            tel.event(EVENT_SIM_BATCH, label=label, size=size)
 
     def reset_batches(self) -> None:
         """Drop in-flight batch framing (part of ``Simulator.reset``)."""
@@ -326,13 +303,6 @@ class BatchEngine:
         self.begin_batch(label)
         return BatchEngine._BatchFrame(self)
 
-    def _note_fallback(self) -> None:
-        tel = self.sim.telemetry
-        if tel.enabled:
-            tel.count(SIM_BATCH_SCALAR_FALLBACK)
-        if self._batches:
-            self._batches[-1][2] += 1
-
     # -- plan / route caches -------------------------------------------
 
     def plan_for(self, path: Path) -> PathPlan:
@@ -354,7 +324,7 @@ class BatchEngine:
             entry = self._routes[key] = (route, plan)
         return entry
 
-    # -- the per-send fast path ----------------------------------------
+    # -- the per-send walk ---------------------------------------------
 
     def send(
         self,
@@ -362,7 +332,9 @@ class BatchEngine:
         wire_bytes: Optional[bytes] = None,
         flow: Optional[FlowKey] = None,
     ) -> List[Packet]:
-        """Semantically identical to ``sim.send_from_client(packet)``.
+        """Send ``packet`` from the client whose IP is ``packet.ip.src``;
+        returns every packet delivered back to it, in arrival order (an
+        empty list is a timeout).
 
         ``wire_bytes``, when the caller already serialized the packet
         (CenTrace records ``sent_bytes`` for every probe), lets the
@@ -371,15 +343,10 @@ class BatchEngine:
         the caller holds the packet's flow key (a connection's data
         segment), is used for the ECMP hash instead of rebuilding it.
 
-        Fault plans stay on the fast path: the send counts toward path
-        churn before its path is picked, and the deliveries are shaped
-        (duplication, reordering) after the walk, as in the scalar
-        engine. Only capture mode falls back to ``send_from_client``.
+        Under a fault plan the send counts toward path churn before its
+        path is picked, and the deliveries are shaped (duplication,
+        reordering) after the walk.
         """
-        sim = self.sim
-        if sim._capture_enabled:
-            self._note_fallback()
-            return sim.send_from_client(packet)
         ip = packet.ip
         plan = self._enter(ip.src, ip.dst, flow, packet)
         deliveries: List[Packet] = []
@@ -413,8 +380,8 @@ class BatchEngine:
         if plan is not None:
             return plan
         if flow is None:
-            # Same flow hashing as the scalar engine: TCP uses the real
-            # 5-tuple, everything else a degenerate per-pair key.
+            # TCP hashes its real 5-tuple, everything else a
+            # degenerate per-pair key.
             flow = (
                 packet.flow_key()
                 if packet.tcp is not None
@@ -440,10 +407,9 @@ class BatchEngine:
         """Loss on the links leading to hops ``start .. stop-1``.
 
         One draw per link in walk order: from the fault RNG at a loss
-        profile's per-hop ``rates`` (``Simulator._link_lost`` under a
-        profile: every link rolled counts one ``sim.fault_loss_rolls``,
-        and only a positive rate draws), else from the base RNG at the
-        uniform rate.
+        profile's per-hop ``rates`` (every link rolled counts one
+        ``sim.fault_loss_rolls``, and only a positive rate draws), else
+        from the base RNG at the uniform rate.
         """
         sim = self.sim
         tel = sim.telemetry
@@ -537,7 +503,7 @@ class BatchEngine:
                         tel.count(SIM_DEVICE_ACTIONS)
                 if verdict.inject_to_client or verdict.inject_to_server:
                     self._dispatch_injections(
-                        verdict, plan, dev_hop, deliveries, client_ip
+                        verdict, plan, dev_hop, deliveries
                     )
                 if verdict.drop and device.in_path:
                     if tel_on:
@@ -593,7 +559,7 @@ class BatchEngine:
         """Apply header rewrites of routers at hop indices < ``upto_hop``.
 
         Incremental (``pos`` is the resume point) so rewrites interleave
-        correctly with device inspections, exactly as in the scalar walk.
+        correctly with device inspections, as on a hop-by-hop walk.
         """
         rewrites = plan.rewrites
         while pos < len(rewrites) and rewrites[pos][0] < upto_hop:
@@ -726,7 +692,7 @@ class BatchEngine:
         """The arrival TTL of a packet sent with ``ttl`` from hop
         ``start_index`` back to the client; None when it dies en route.
 
-        Replicates the scalar reverse policy: one loss draw per link
+        The reverse walk: one loss draw per link
         (hops ``start_index-1 .. 0`` plus the client link, in order),
         TTL decrement at routers with silent expiry. Under a fault-plan
         loss profile the draws come from the fault RNG at the plan's
@@ -804,7 +770,6 @@ class BatchEngine:
         plan: PathPlan,
         link_index: int,
         deliveries: List[Packet],
-        client_ip: str,
     ) -> None:
         sim = self.sim
         tel = sim.telemetry
@@ -816,27 +781,67 @@ class BatchEngine:
                 plan, sim._clone(injected), link_index, deliveries
             )
         for injected in verdict.inject_to_server:
-            # Injected-to-server continuations keep their scalar
-            # implementation: they are rare, stateful (they meet the
-            # endpoint stack) and policy-distinct.
             if tel_on:
                 tel.count(SIM_INJECTED_TO_SERVER)
-            sim._run_transit(
-                Transit(
-                    sim._clone(injected),
-                    plan.path,
-                    link_index,
-                    POLICY_INJECTED_TO_SERVER,
-                    client_ip,
-                ),
-                deliveries,
+            self._walk_injected(
+                plan, sim._clone(injected), link_index, deliveries
             )
+
+    def _walk_injected(
+        self,
+        plan: PathPlan,
+        pkt: Packet,
+        link_index: int,
+        deliveries: List[Packet],
+    ) -> None:
+        """Carry a device's forgery ``pkt`` toward the server from hop
+        ``link_index``, the hop its link leads to.
+
+        The device's own link takes no loss draw; each later link takes
+        one, in order, from the base RNG or from the fault RNG at the
+        plan's per-link rates. Routers decrement the TTL and rewrite
+        headers; expiry is silent, since its ICMP error would go to the
+        spoofed source. No device inspects a forgery, and the endpoint's
+        TCP stack alone answers it (e.g. the RST for data on an unknown
+        flow); the replies walk back to the client.
+        """
+        sim = self.sim
+        tel = sim.telemetry
+        rates, _ = self._fault_walk(plan)
+        ttl = pkt.ip.ttl
+        behind = plan.routers_before[link_index]
+        ahead = plan.routers_reachable - behind
+        if ahead and ttl <= ahead:
+            # Expires at the ttl-th router from link_index on (a TTL at
+            # or below 0 at the first one).
+            hop, _ = plan.router_hops[behind + max(ttl, 1) - 1]
+            if not self._forward_lost(rates, link_index + 1, hop + 1):
+                if tel.enabled:
+                    tel.count(SIM_INJECTED_TTL_EXPIRED)
+            return
+        terminal = plan.terminal_index
+        if terminal is None:
+            # An all-router path the forgery outlives: it just ends.
+            self._forward_lost(rates, link_index + 1, plan.n_hops)
+            return
+        if self._forward_lost(rates, link_index + 1, terminal + 1):
+            return
+        endpoint = plan.endpoint
+        if endpoint is None:
+            return
+        # The rewrites of the routers from link_index on.
+        pos = bisect_left(plan.rewrites, (link_index,))
+        self._apply_rewrites(plan, pkt, pos, terminal)
+        pkt.ip.ttl = ttl - ahead
+        stack = sim._stack_for(endpoint)
+        for response in stack.receive(pkt, sim.clock):
+            self._lean_reverse(plan, response, terminal, deliveries)
 
     # -- connection-level control segments -----------------------------
 
     def connect(self, conn, retries: int) -> bool:
-        """``conn.connect(retries)`` with capture off: the three-way
-        handshake at full TTL, each segment sent by :meth:`_control`.
+        """``conn.connect(retries)``: the three-way handshake at full
+        TTL, each segment sent by :meth:`_control`.
 
         Sets ``conn.server_isn`` and ``conn.established`` when a SYN-ACK
         comes back; an RST (or silence after every retry) fails it.
@@ -854,8 +859,7 @@ class BatchEngine:
         return False
 
     def close(self, conn) -> None:
-        """``conn.close()`` with capture off: send the FIN, discard the
-        replies."""
+        """``conn.close()``: send the FIN, discard the replies."""
         ack = conn.server_isn + 1 if conn.server_isn is not None else 0
         self._control(conn, tcpmod.FIN | tcpmod.ACK, conn._next_seq, ack)
 
@@ -1002,7 +1006,7 @@ class BatchEngine:
                     tel.count(SIM_DEVICE_INSPECTIONS)
         return not (lossy and self._forward_lost(rates, cursor, last_hop + 1))
 
-    # -- the array ladder ----------------------------------------------
+    # -- TTL ladders ----------------------------------------------------
 
     def run_udp_ladder(
         self,
@@ -1015,165 +1019,27 @@ class BatchEngine:
         tos: int = 0,
         label: str = "udp-ladder",
     ) -> List[List[Packet]]:
-        """Send one UDP probe per TTL in ``ttls`` as a single batch.
+        """Send one UDP probe per TTL in ``ttls`` through :meth:`send`,
+        inside one batch frame; returns each probe's deliveries.
 
-        Semantically identical to the scalar loop::
-
-            for ttl in ttls:
-                sport = net.next_ephemeral_port()
-                pkt = udp_packet(client_ip, dst_ip, sport, dport,
-                                 payload=payload_for(sport), ttl=ttl,
-                                 tos=tos, net=net)
-                results.append(sim.send_from_client(pkt))
-
-        but resolved on the compiled plan: probe fates (loss, expiry
-        router, delivery) are computed on flat arrays, the uniform-loss
-        stream is drawn in per-packet order, and a ``Packet`` is only
-        materialized for probes whose terminal event needs its bytes (a
-        responding router's quote, an endpoint delivery). Lost probes
-        and silent-router expiries still consume their source-port and
-        IP-ID allocations so the NetContext streams stay bit-identical.
-
-        ``payload_for`` must be a pure function of the source port (the
-        DNS case: the transaction ID is derived from the port); it is
-        invoked only for materialized probes.
-
-        Sends probe by probe through :meth:`send` instead whenever a
-        fault plan, capture, ECMP multi-path routing, an on-path device
-        or a header-rewriting router makes per-probe state observable
-        mid-walk. Each of those probes still takes the per-send fast
-        path; only capture falls back to the scalar engine.
+        Each probe takes a fresh source port, and ``payload_for(sport)``
+        builds its payload (the DNS case: the transaction ID is derived
+        from the port).
         """
-        sim = self.sim
-        _, plan = self._route_for(client_ip, dst_ip)
-        eligible = (
-            plan is not None
-            and sim._faults is None
-            and not sim._capture_enabled
-        )
-        if eligible and (plan.device_hops or plan.rewrites):
-            # Devices need the in-flight packet; header rewrites change
-            # quote/arrival bytes mid-walk. Both go per probe through
-            # send(), which fast-paths devices and rewrites correctly.
-            eligible = False
-        with self.batch(label):
-            if not eligible:
-                return self._per_probe_ladder(
-                    client_ip, dst_ip, dport, ttls, payload_for, tos
-                )
-            return self._fast_ladder(
-                plan, client_ip, dst_ip, dport, ttls, payload_for, tos
-            )
-
-    def _per_probe_ladder(
-        self, client_ip, dst_ip, dport, ttls, payload_for, tos
-    ) -> List[List[Packet]]:
-        from ..netmodel.packet import udp_packet
-
         net = self.sim.net_context
         results = []
-        for ttl in ttls:
-            sport = net.next_ephemeral_port()
-            probe = udp_packet(
-                client_ip,
-                dst_ip,
-                sport,
-                dport,
-                payload=payload_for(sport),
-                ttl=ttl,
-                tos=tos,
-                net=net,
-            )
-            results.append(self.send(probe))
-        return results
-
-    def _fast_ladder(
-        self, plan, client_ip, dst_ip, dport, ttls, payload_for, tos
-    ) -> List[List[Packet]]:
-        sim = self.sim
-        tel = sim.telemetry
-        tel_on = tel.enabled
-        net = sim.net_context
-        rate = sim.loss_rate
-        n = len(ttls)
-        # Bulk-allocate the per-probe source ports up front: the
-        # ephemeral stream carries only probe sports here, so the block
-        # equals n sequential next_ephemeral_port() calls.
-        sports = net.take_ephemeral_ports(n)
-        per_packet_time = sim.per_packet_time
-        results: List[List[Packet]] = []
-        for i in range(n):
-            ttl = ttls[i]
-            sim.clock += per_packet_time
-            ip_id = net.next_ip_id()
-            deliveries: List[Packet] = []
-            results.append(deliveries)
-            if tel_on:
-                tel.count(SIM_BATCH_FAST_PATH)
-                tel.count(SIM_CLIENT_PACKETS)
-            if self._batches:
-                self._batches[-1][1] += 1
-            terminal, last_hop, router = plan.terminal_for(ttl)
-            if rate > 0:
-                rnd = sim._rng.random
-                lost = False
-                for _ in range(last_hop + 1):
-                    if rnd() < rate:
-                        lost = True
-                        break
-                if lost:
-                    if tel_on:
-                        tel.count(SIM_PACKETS_LOST)
-                    continue
-            if terminal is _EXPIRE:
-                if not router.responds_icmp:
-                    if tel_on:
-                        tel.count(SIM_ICMP_SILENT)
-                    continue
-                if tel_on:
-                    tel.count(SIM_ICMP_GENERATED)
-                quote_pkt = Packet(
-                    ip=IPHeader(
-                        src=client_ip,
-                        dst=dst_ip,
-                        ttl=1,
-                        tos=tos,
-                        identification=ip_id,
-                    ),
-                    udp=UDPDatagram(
-                        sport=sports[i], dport=dport,
-                        payload=payload_for(sports[i]),
-                    ),
+        with self.batch(label):
+            for ttl in ttls:
+                sport = net.next_ephemeral_port()
+                probe = udp_packet(
+                    client_ip,
+                    dst_ip,
+                    sport,
+                    dport,
+                    payload=payload_for(sport),
+                    ttl=ttl,
+                    tos=tos,
+                    net=net,
                 )
-                message = time_exceeded(
-                    quote_pkt.to_bytes(), policy=router.quoting
-                )
-                response = icmp_packet(
-                    router.ip, client_ip, message, ttl=64, net=net
-                )
-                response.emitted_by = router.name
-                self._lean_reverse(plan, response, last_hop, deliveries)
-            elif terminal is _DELIVER:
-                endpoint = plan.endpoint
-                if endpoint.resolver is not None:
-                    arrived = Packet(
-                        ip=IPHeader(
-                            src=client_ip,
-                            dst=dst_ip,
-                            ttl=ttl - plan.routers_before[last_hop],
-                            tos=tos,
-                            identification=ip_id,
-                        ),
-                        udp=UDPDatagram(
-                            sport=sports[i], dport=dport,
-                            payload=payload_for(sports[i]),
-                        ),
-                    )
-                    for response in endpoint.resolver.handle_query(
-                        arrived, endpoint.ip, net=net
-                    ):
-                        self._lean_reverse(plan, response, last_hop, deliveries)
-            # _SINK / _TIMEOUT: allocations consumed, nothing delivered.
-            if tel_on and deliveries:
-                tel.count(SIM_DELIVERIES, len(deliveries))
+                results.append(self.send(probe))
         return results

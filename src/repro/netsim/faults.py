@@ -341,16 +341,6 @@ class FaultState:
     def per_link_loss(self) -> bool:
         return self.plan.loss is not None
 
-    def link_lost(self, node) -> bool:
-        """Roll loss for the link leading to ``node`` (None = client)."""
-        rate = self.plan.loss.rate_for(node)
-        if rate <= 0.0:
-            return False
-        if self.rng.random() < rate:
-            self.counters.packets_lost += 1
-            return True
-        return False
-
     # -- ICMP rate limiting ------------------------------------------------
 
     def icmp_suppressed(self, router, clock: float) -> bool:

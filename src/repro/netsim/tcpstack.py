@@ -4,7 +4,8 @@ CenTrace's probes are stateful: it completes a real TCP handshake at
 full TTL, then sends the application payload (HTTP request or TLS
 ClientHello) with a *limited* TTL — and every probe uses a fresh
 connection with a fresh source port (§4.1, "Network path variance").
-This module provides exactly that workflow on top of the simulator.
+This module provides exactly that workflow on top of the simulator's
+packet engine, to which a :class:`Connection` hands every segment.
 """
 
 from __future__ import annotations
@@ -51,14 +52,13 @@ class ProbeResult:
 class Connection:
     """One client TCP connection through the simulator.
 
-    With a batch engine and capture off, the handshake and the FIN are
-    resolved by ``engine.connect``/``engine.close`` on the path plan:
-    those payload-less segments become packets only when a device on
-    the path might act on them. Data segments (:meth:`send_payload`)
-    always go through ``engine.send``. Without an engine, or while the
-    simulator captures, every segment is a packet sent through
-    ``sim.send_from_client`` (or ``engine.send``, which hands captured
-    sends to it).
+    Every segment goes through the connection's packet engine (the
+    simulator's :class:`~repro.netsim.batch.BatchEngine` unless another
+    object with its ``connect``/``send``/``close`` interface is given).
+    The batched plane resolves the handshake and the FIN on the path
+    plan: those payload-less segments become packets only when a
+    device on the path might act on them. Data segments
+    (:meth:`send_payload`) are always packets.
     """
 
     CLIENT_ISN = 42_000
@@ -70,7 +70,6 @@ class Connection:
         "dst_port",
         "sport",
         "_engine",
-        "_send",
         "established",
         "server_isn",
         "_next_seq",
@@ -98,24 +97,12 @@ class Connection:
             if sport is not None
             else sim.net_context.next_ephemeral_port()
         )
-        # Optional batched fast path (repro.netsim.batch.BatchEngine):
-        # semantically identical to sim.send_from_client, so callers opt
-        # in per connection without changing observable behaviour.
-        self._engine = engine
-        self._send = engine.send if engine is not None else sim.send_from_client
+        self._engine = engine if engine is not None else sim.batch_engine()
         self.established = False
         self.server_isn: Optional[int] = None
         self._next_seq = self.CLIENT_ISN + 1
         # The ECMP hash and residual-censorship key of every segment.
         self.flow = FlowKey(client.ip, dst_ip, self.sport, dst_port)
-
-    def _control_engine(self):
-        """The engine that resolves this connection's control segments,
-        or None when they must be sent as packets."""
-        engine = self._engine
-        if engine is None or self.sim._capture_enabled:
-            return None
-        return engine
 
     # -- handshake ------------------------------------------------------
 
@@ -126,45 +113,7 @@ class Connection:
         simulated loss). A censored or unreachable endpoint leaves the
         connection unestablished.
         """
-        engine = self._control_engine()
-        if engine is not None:
-            return engine.connect(self, retries)
-        for _ in range(retries + 1):
-            syn = tcp_packet(
-                self.client.ip,
-                self.dst_ip,
-                self.sport,
-                self.dst_port,
-                flags=tcpmod.SYN,
-                seq=self.CLIENT_ISN,
-                ttl=DEFAULT_TTL,
-                net=self.sim.net_context,
-            )
-            responses = self._send(syn)
-            for response in responses:
-                if (
-                    response.is_tcp
-                    and response.tcp.flags & tcpmod.SYN
-                    and response.tcp.flags & tcpmod.ACK
-                ):
-                    self.server_isn = response.tcp.seq
-                    ack = tcp_packet(
-                        self.client.ip,
-                        self.dst_ip,
-                        self.sport,
-                        self.dst_port,
-                        flags=tcpmod.ACK,
-                        seq=self.CLIENT_ISN + 1,
-                        ack=self.server_isn + 1,
-                        ttl=DEFAULT_TTL,
-                        net=self.sim.net_context,
-                    )
-                    self._send(ack)
-                    self.established = True
-                    return True
-                if response.is_tcp and response.tcp.flags & tcpmod.RST:
-                    return False
-        return False
+        return self._engine.connect(self, retries)
 
     # -- data -----------------------------------------------------------
 
@@ -211,14 +160,9 @@ class Connection:
         result = ProbeResult(sent=probe, _sent_bytes=sent_bytes)
         attempt = 0
         wait = retry_wait
-        engine = self._engine
+        send = self._engine.send
         while True:
-            if engine is not None:
-                received = engine.send(
-                    probe, wire_bytes=sent_bytes, flow=self.flow
-                )
-            else:
-                received = self.sim.send_from_client(probe)
+            received = send(probe, wire_bytes=sent_bytes, flow=self.flow)
             result.received.extend(received)
             if received or attempt >= retries:
                 break
@@ -233,22 +177,7 @@ class Connection:
         """Send a FIN (best-effort; responses are discarded)."""
         if not self.established:
             return
-        engine = self._control_engine()
-        if engine is not None:
-            engine.close(self)
-        else:
-            fin = tcp_packet(
-                self.client.ip,
-                self.dst_ip,
-                self.sport,
-                self.dst_port,
-                flags=tcpmod.FIN | tcpmod.ACK,
-                seq=self._next_seq,
-                ack=(self.server_isn + 1) if self.server_isn is not None else 0,
-                ttl=DEFAULT_TTL,
-                net=self.sim.net_context,
-            )
-            self._send(fin)
+        self._engine.close(self)
         self.established = False
 
 
@@ -264,8 +193,8 @@ def open_connection(
 ) -> Optional[Connection]:
     """Open a connection; returns None when the handshake fails.
 
-    ``engine`` routes the connection's sends through the batched fast
-    path (:class:`repro.netsim.batch.BatchEngine`) when given.
+    ``engine`` is the connection's packet engine (default: the
+    simulator's batched plane).
     """
     conn = Connection(sim, client, dst_ip, dst_port, sport=sport, engine=engine)
     if not conn.connect(retries=retries):

@@ -109,10 +109,7 @@ SIM_REVERSE_TTL_EXPIRED = _counter(
 )
 SIM_BATCHES = _counter("sim.batches", "batched sweeps walked by the packet plane")
 SIM_BATCH_FAST_PATH = _counter(
-    "sim.batch_fast_path", "sweeps served by the array fast path"
-)
-SIM_BATCH_SCALAR_FALLBACK = _counter(
-    "sim.batch_scalar_fallback", "sweeps that fell back to scalar transit"
+    "sim.batch_fast_path", "client sends walked by the batched packet plane"
 )
 SIM_BATCH_CONTROL_RESOLVED = _counter(
     "sim.batch_control_resolved",
@@ -280,7 +277,7 @@ campaign_stage_span = _family(
 
 # -- events -----------------------------------------------------
 EVENT_STAGE = _event("stage", "one executor stage finished (stage name, unit count)")
-EVENT_SIM_BATCH = _event("sim.batch", "one batched sweep walked (size, fast-path flag)")
+EVENT_SIM_BATCH = _event("sim.batch", "one batched sweep walked (label, size)")
 EVENT_CENTRACE_BLOCKED = _event(
     "centrace.blocked", "a measurement observed blocking (endpoint, type)"
 )

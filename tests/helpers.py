@@ -17,7 +17,7 @@ from repro.netmodel import tcp as tcpmod
 from repro.netmodel.netctx import NetContext
 from repro.netmodel.packet import tcp_packet
 from repro.netsim.routing import Hop, Path, Route
-from repro.netsim.simulator import POLICY_FORWARD, EndpointStack, Simulator
+from repro.netsim.simulator import EndpointStack, Simulator
 from repro.netsim.topology import Client, Endpoint, Router, Topology
 from repro.services.webserver import ServerProfile, WebServer
 
@@ -106,26 +106,6 @@ def make_profile_device(
     **kwargs,
 ) -> CensorshipDevice:
     return make_device(profile, "test-device", domains, **kwargs)
-
-
-def count_forward_transits(sim: Simulator) -> dict:
-    """Wrap ``sim._run_transit`` to tally client-probe walks.
-
-    Only :func:`~repro.netsim.simulator.Simulator.send_from_client`
-    creates POLICY_FORWARD transits, so counting them counts exactly
-    the probes the *scalar* engine walked end to end (responses,
-    expiries and injections use other policies).
-    """
-    counts = {"forward": 0}
-    inner = sim._run_transit
-
-    def counting(transit, deliveries):
-        if transit.policy is POLICY_FORWARD:
-            counts["forward"] += 1
-        return inner(transit, deliveries)
-
-    sim._run_transit = counting
-    return counts
 
 
 def deliver_payload(stack: EndpointStack, payload: bytes, sport: int):

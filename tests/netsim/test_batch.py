@@ -1,18 +1,20 @@
-"""Batch-vs-scalar parity for the batched packet plane (PR 6 tentpole).
+"""Batch-vs-oracle parity for the batched packet plane.
 
 The :class:`~repro.netsim.batch.BatchEngine` promises to reproduce the
-scalar engine's observable behaviour *exactly*: delivered bytes, the
-base RNG draw stream, NetContext identifier streams, the virtual clock
-and every telemetry counter. These tests drive both engines over the
-same workloads on fresh worlds and compare all five surfaces.
+reference scalar walk (:class:`tests.oracle.scalar.ScalarEngine`) *exactly*:
+delivered bytes, the base RNG draw stream, NetContext identifier
+streams, the virtual clock and every telemetry counter. These tests
+drive both engines over the same workloads on fresh worlds and compare
+all five surfaces.
 
 Fault plans run on the batched plane too, so every snapshot also
 compares the fault state: the fault RNG's next draws, the ground-truth
 fault counters, the churn epoch and the ICMP token-bucket levels.
 
-The fast subset (plain / device / rewrite worlds and a device beside
-rewriting routers at two loss rates, the fault presets on the device
-world, churn on ECMP, a lossy DNS ladder) runs in tier 1; the
+The fast subset (plain / device / rewrite worlds, a device beside
+rewriting routers and a Fortinet device that forges RSTs toward the
+server, at two loss rates; the fault presets on the device world,
+churn on ECMP, a lossy DNS ladder) runs in tier 1; the
 exhaustive world x loss grid and the fault-preset grid ride behind
 ``--runslow``.
 """
@@ -32,7 +34,6 @@ from helpers import (
     ENDPOINT_IP,
     OK_DOMAIN,
     build_linear_world,
-    count_forward_transits,
     make_profile_device,
 )
 
@@ -40,8 +41,9 @@ from repro.devices.actions import KIND_RST, BlockAction
 from repro.devices.base import CensorshipDevice
 from repro.devices.rules import Blocklist
 from repro.devices.state import RESIDUAL_3TUPLE, RESIDUAL_HOSTS
-from repro.devices.vendors import KZ_STATE
+from repro.devices.vendors import FORTINET, KZ_STATE
 from repro.netmodel import tcp as tcpmod
+from repro.netmodel.ip import FLAG_DF
 from repro.netmodel.packet import Packet, tcp_packet, udp_packet
 from repro.netsim.batch import BatchEngine, patched_quote
 from repro.netsim.faults import (
@@ -57,6 +59,13 @@ from repro.netsim.tcpstack import open_connection
 from repro.netsim.topology import Client, Endpoint, Router, Topology
 from repro.services.dnsresolver import DNSResolver
 from repro.telemetry import Telemetry
+from repro.telemetry_registry import (
+    SIM_INJECTED_TO_SERVER,
+    SIM_INJECTED_TTL_EXPIRED,
+)
+
+from ..oracle.scalar import ScalarEngine
+from .test_faults import _ServerPoker
 
 PAYLOAD = b"GET / HTTP/1.1\r\nHost: " + OK_DOMAIN.encode() + b"\r\n\r\n"
 BLOCKED_PAYLOAD = (
@@ -106,6 +115,18 @@ def world_device_then_rewrite(loss_rate=0.0, seed=7):
     return world
 
 
+def world_fortinet(loss_rate=0.0, seed=7):
+    """A Fortinet device: its blockpage and RSTs come with an RST toward
+    the server, which tears the flow down at the endpoint's stack."""
+    return build_linear_world(
+        n_routers=6,
+        device=make_profile_device(FORTINET),
+        device_link=2,
+        loss_rate=loss_rate,
+        seed=seed,
+    )
+
+
 def world_silent(loss_rate=0.0, seed=7):
     return build_linear_world(
         n_routers=6, silent_routers=(1, 3), loss_rate=loss_rate, seed=seed
@@ -118,6 +139,7 @@ WORLDS = {
     "rewrite": world_rewrite,
     "device_rewrite": world_device_rewrite,
     "device_then_rewrite": world_device_then_rewrite,
+    "fortinet": world_fortinet,
     "silent": world_silent,
 }
 
@@ -229,9 +251,9 @@ def tcp_workflow(sim, client, engine=None, n=24, port=80):
 def observe(sim, tel):
     """Everything the two engines must agree on, beyond deliveries.
 
-    The ``sim.batch*`` counters (batches, fast path, scalar fallback,
-    control segments resolved without a packet) say which engine path
-    ran, so only the batched engine emits them."""
+    The ``sim.batch*`` counters (batches, client sends, control
+    segments resolved without a packet) describe the batched plane's
+    own paths, so only it emits them."""
     counters = {
         name: value
         for name, value in tel.counters.items()
@@ -260,7 +282,8 @@ def observe(sim, tel):
 
 
 def run_pair(builder, loss_rate, workload=tcp_workflow, plan=None):
-    """Run ``workload`` scalar then batched on fresh worlds; compare.
+    """Run ``workload`` on the oracle then batched on fresh worlds;
+    compare.
 
     Returns the (shared) workload output and observation snapshot, and
     the batched run's telemetry counters."""
@@ -272,13 +295,13 @@ def run_pair(builder, loss_rate, workload=tcp_workflow, plan=None):
         sim.set_telemetry(tel)
         if plan is not None:
             sim.set_fault_plan(plan)
-        engine = sim.batch_engine() if use_engine else None
+        engine = sim.batch_engine() if use_engine else ScalarEngine(sim)
         out = workload(sim, client, engine=engine)
         results.append((out, observe(sim, tel)))
-    (scalar_out, scalar_obs), (batch_out, batch_obs) = results
-    assert scalar_out == batch_out
-    assert scalar_obs == batch_obs
-    return scalar_out, scalar_obs, dict(tel.counters)
+    (oracle_out, oracle_obs), (batch_out, batch_obs) = results
+    assert oracle_out == batch_out
+    assert oracle_obs == batch_obs
+    return oracle_out, oracle_obs, dict(tel.counters)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +351,14 @@ class TestPatchedQuote:
 class TestSendParity:
     @pytest.mark.parametrize(
         "name",
-        ["plain", "device", "rewrite", "device_rewrite", "device_then_rewrite"],
+        [
+            "plain",
+            "device",
+            "rewrite",
+            "device_rewrite",
+            "device_then_rewrite",
+            "fortinet",
+        ],
     )
     @pytest.mark.parametrize("loss", [0.0, 0.2])
     def test_tcp_workflow_parity(self, name, loss):
@@ -343,7 +373,7 @@ class TestSendParity:
             sim, client, _ep = build_multipath_world(loss_rate=0.002)
             tel = Telemetry()
             sim.set_telemetry(tel)
-            engine = sim.batch_engine() if use_engine else None
+            engine = sim.batch_engine() if use_engine else ScalarEngine(sim)
             out = tcp_workflow(sim, client, engine=engine)
             results.append((out, observe(sim, tel)))
         assert results[0] == results[1]
@@ -357,7 +387,7 @@ class TestSendParity:
             tel = Telemetry()
             sim.set_telemetry(tel)
             sim.set_fault_plan(PRESETS["churn"])
-            engine = sim.batch_engine() if use_engine else None
+            engine = sim.batch_engine() if use_engine else ScalarEngine(sim)
             out = tcp_workflow(sim, client, engine=engine)
             results.append((out, observe(sim, tel)))
         assert results[0] == results[1]
@@ -370,7 +400,7 @@ class TestSendParity:
         for use_engine in (False, True):
             world = world_plain(loss_rate=0.3, seed=13)
             sim = world.sim
-            engine = sim.batch_engine() if use_engine else None
+            engine = sim.batch_engine() if use_engine else ScalarEngine(sim)
             tcp_workflow(sim, world.client, engine=engine, n=12)
             draws.append([sim._rng.random() for _ in range(16)])
         assert draws[0] == draws[1]
@@ -379,27 +409,6 @@ class TestSendParity:
 # ---------------------------------------------------------------------------
 # run_udp_ladder parity
 # ---------------------------------------------------------------------------
-
-
-def scalar_ladder_reference(sim, client, ttls):
-    """The documented scalar equivalent of run_udp_ladder."""
-    from repro.netmodel.dns import query
-
-    net = sim.net_context
-    results = []
-    for ttl in ttls:
-        sport = net.next_ephemeral_port()
-        probe = udp_packet(
-            client.ip,
-            ENDPOINT_IP,
-            sport,
-            53,
-            payload=query(OK_DOMAIN, txid=(sport * 7919) & 0xFFFF).to_bytes(),
-            ttl=ttl,
-            net=net,
-        )
-        results.append(sim.send_from_client(probe))
-    return results
 
 
 def ladder_pair(builder, loss_rate, ttls=None, plan=None, **world_kw):
@@ -414,19 +423,14 @@ def ladder_pair(builder, loss_rate, ttls=None, plan=None, **world_kw):
         sim.set_telemetry(tel)
         if plan is not None:
             sim.set_fault_plan(plan)
-        if use_engine:
-            engine = sim.batch_engine()
-            out = engine.run_udp_ladder(
-                client.ip,
-                ENDPOINT_IP,
-                53,
-                ttls,
-                lambda sport: query(
-                    OK_DOMAIN, txid=(sport * 7919) & 0xFFFF
-                ).to_bytes(),
-            )
-        else:
-            out = scalar_ladder_reference(sim, client, ttls)
+        engine = sim.batch_engine() if use_engine else ScalarEngine(sim)
+        out = engine.run_udp_ladder(
+            client.ip,
+            ENDPOINT_IP,
+            53,
+            ttls,
+            lambda sport: query(OK_DOMAIN, txid=(sport * 7919) & 0xFFFF).to_bytes(),
+        )
         flat = [[p.to_bytes() for p in probe] for probe in out]
         results.append((flat, observe(sim, tel)))
     assert results[0] == results[1]
@@ -454,27 +458,22 @@ class TestLadderParity:
             client.ip, ENDPOINT_IP, 53, range(1, 9), lambda sport: b"x"
         )
         assert tel.counters.get("sim.batch_fast_path") == 8
-        assert "sim.batch_scalar_fallback" not in tel.counters
 
     def test_ladder_falls_back_under_fault_plan(self):
-        # A fault plan takes the ladder off the array path, onto
-        # per-probe sends that each stay on the fast path.
+        # Under a fault plan too, each probe is one send on the plane.
         sim, client, _ep = build_dns_world()
         tel = Telemetry()
         sim.set_telemetry(tel)
         sim.set_fault_plan(PRESETS["lossy"])
-        counts = count_forward_transits(sim)
         engine = sim.batch_engine()
         engine.run_udp_ladder(
             client.ip, ENDPOINT_IP, 53, range(1, 9), lambda sport: b"x"
         )
         assert tel.counters.get("sim.batch_fast_path") == 8
-        assert "sim.batch_scalar_fallback" not in tel.counters
-        assert counts["forward"] == 0
 
 
 # ---------------------------------------------------------------------------
-# Routing: fault plans ride the fast path, capture falls back
+# Fault plans on the batched plane
 # ---------------------------------------------------------------------------
 
 
@@ -486,12 +485,9 @@ class TestFallback:
         tel = Telemetry()
         sim.set_telemetry(tel)
         sim.set_fault_plan(PRESETS[preset])
-        counts = count_forward_transits(sim)
         engine = sim.batch_engine()
         tcp_workflow(sim, world.client, engine=engine, n=4)
         assert tel.counters.get("sim.batch_fast_path", 0) > 0
-        assert "sim.batch_scalar_fallback" not in tel.counters
-        assert counts["forward"] == 0
 
     @pytest.mark.parametrize(
         "preset",
@@ -499,7 +495,7 @@ class TestFallback:
     )
     def test_fault_plan_outcomes_match_direct_scalar(self, preset):
         # The batched walk must not change behaviour: engine.send under
-        # a plan == sim.send_from_client under the same plan.
+        # a plan == the oracle's send under the same plan.
         results = []
         for use_engine in (False, True):
             world = world_device()
@@ -507,7 +503,7 @@ class TestFallback:
             tel = Telemetry()
             sim.set_telemetry(tel)
             sim.set_fault_plan(PRESETS[preset])
-            engine = sim.batch_engine() if use_engine else None
+            engine = sim.batch_engine() if use_engine else ScalarEngine(sim)
             out = tcp_workflow(sim, world.client, engine=engine, n=8)
             results.append((out, observe(sim, tel)))
         assert results[0] == results[1]
@@ -519,22 +515,9 @@ class TestFallback:
         for name in ("packets_lost", "icmp_suppressed", "fail_open", "fail_closed"):
             assert fault_counters[name] > 0, name
 
-    def test_capture_mode_falls_back(self):
-        world = world_plain()
-        sim = Simulator(world.topology, seed=7, capture=True)
-        tel = Telemetry()
-        sim.set_telemetry(tel)
-        engine = sim.batch_engine()
-        tcp_workflow(sim, world.client, engine=engine, n=2)
-        assert tel.counters.get("sim.batch_scalar_fallback", 0) > 0
-        assert "sim.batch_fast_path" not in tel.counters
-        assert sim.capture  # the scalar path recorded the walk
-
 
 # ---------------------------------------------------------------------------
-# Fallback accounting: the counter is the audit trail for "which engine
-# actually walked this probe", so it must tally exactly the probes the
-# scalar engine ran — not approximately.
+# Send accounting: sim.batch_fast_path tallies every client send exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -542,7 +525,6 @@ class TestFallbackAccounting:
     def drive(self, sim, n=6):
         tel = Telemetry()
         sim.set_telemetry(tel)
-        counts = count_forward_transits(sim)
         engine = BatchEngine(sim)
         for i in range(n):
             packet = tcp_packet(
@@ -556,35 +538,21 @@ class TestFallbackAccounting:
                 net=sim.net_context,
             )
             engine.send(packet)
-        return tel.counters, counts["forward"]
+        return tel.counters
 
     def test_fallback_counter_equals_scalar_walks_under_faults(self):
         world = world_plain()
         sim = world.sim
         sim.set_fault_plan(PRESETS["lossy"])
-        counters, forwards = self.drive(sim, n=6)
-        # Fault plans stay on the batched walk: no probe fell back, and
-        # the scalar transit engine saw no client probe either.
+        counters = self.drive(sim, n=6)
         assert counters.get("sim.batch_fast_path") == 6
-        assert "sim.batch_scalar_fallback" not in counters
-        assert forwards == 0
-
-    def test_fallback_counter_equals_scalar_walks_under_capture(self):
-        world = world_plain()
-        sim = Simulator(world.topology, seed=7, capture=True)
-        counters, forwards = self.drive(sim, n=4)
-        assert counters.get("sim.batch_scalar_fallback") == 4
-        assert forwards == 4
-        assert "sim.batch_fast_path" not in counters
+        assert counters.get("sim.client_packets") == 6
 
     def test_fast_path_never_enters_the_scalar_walk(self):
         world = world_plain()
-        counters, forwards = self.drive(world.sim, n=5)
-        # Clean world: the batched walk handles everything; the scalar
-        # transit engine must see zero client probes.
+        counters = self.drive(world.sim, n=5)
         assert counters.get("sim.batch_fast_path") == 5
-        assert "sim.batch_scalar_fallback" not in counters
-        assert forwards == 0
+        assert counters.get("sim.client_packets") == 5
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +747,56 @@ class TestControlSegments:
 
 
 # ---------------------------------------------------------------------------
+# Device forgeries toward the server: the batched plane walks them on the
+# path plan from the device's hop to the endpoint's TCP stack.
+# ---------------------------------------------------------------------------
+
+
+def forger_world(loss_rate=0.0, seed=7, rewrite_hop=4):
+    """A device at link 2 that forges a TTL-2 and a TTL-64 data segment
+    toward the server: four routers lie ahead of the forgeries, so the
+    first expires at the second of them. A router clears the IP flags:
+    at hop 4 it rewrites the forgery that reaches the endpoint (whose
+    RST copies the flags it arrived with), at hop 1 only the client's
+    packets."""
+    world = build_linear_world(
+        n_routers=6,
+        device=_ServerPoker(2, 64),
+        device_link=2,
+        loss_rate=loss_rate,
+        seed=seed,
+    )
+    world.routers[rewrite_hop].rewrite_ip_flags = 0
+    return world
+
+
+class TestInjectedToServer:
+    @pytest.mark.parametrize("plan", [None, MIXED_PLAN], ids=["uniform", "mixed"])
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    @pytest.mark.parametrize("rewrite_hop", [1, 4])
+    def test_forgeries_expire_rewrite_and_draw_replies(
+        self, rewrite_hop, loss, plan
+    ):
+        builder = functools.partial(forger_world, rewrite_hop=rewrite_hop)
+        out, _, counters = run_pair(builder, loss, plan=plan)
+        assert counters[SIM_INJECTED_TO_SERVER] > 0
+        assert counters[SIM_INJECTED_TTL_EXPIRED] > 0
+        if loss == 0.0 and plan is None:
+            # The endpoint's RST for the forged flow carries the IP
+            # flags the forgery arrived with.
+            received = [Packet.from_bytes(raw) for probe in out for raw in probe]
+            rsts = [
+                p for p in received if p.tcp is not None and p.tcp.flags == tcpmod.RST
+            ]
+            expected = 0 if rewrite_hop > 2 else FLAG_DF
+            assert rsts and all(p.ip.flags == expected for p in rsts)
+
+    def test_fortinet_rst_to_server(self):
+        _, _, counters = run_pair(world_fortinet, 0.0)
+        assert counters[SIM_INJECTED_TO_SERVER] > 0
+
+
+# ---------------------------------------------------------------------------
 # The exhaustive grid (--runslow)
 # ---------------------------------------------------------------------------
 
@@ -808,7 +826,7 @@ class TestFullParityGrid:
             tel = Telemetry()
             sim.set_telemetry(tel)
             sim.set_fault_plan(PRESETS[preset])
-            engine = sim.batch_engine() if use_engine else None
+            engine = sim.batch_engine() if use_engine else ScalarEngine(sim)
             out = tcp_workflow(sim, world.client, engine=engine, n=16)
             results.append((out, observe(sim, tel)))
         assert results[0] == results[1]

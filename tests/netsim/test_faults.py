@@ -54,13 +54,12 @@ from repro.netsim.faults import (
     PathChurnProfile,
     PRESETS,
 )
+from repro.netmodel.netctx import NetContext
 from repro.netsim.interfaces import LinkDevice, Verdict
-from repro.netsim.simulator import (
-    POLICY_INJECTED_TO_SERVER,
-    EndpointStack,
-    Transit,
-)
+from repro.netsim.simulator import EndpointStack
 from repro.netsim.topology import Endpoint, Router, Service
+
+from ..oracle.scalar import POLICY_INJECTED_TO_SERVER, ScalarEngine, Transit
 
 # ---------------------------------------------------------------------------
 # FaultPlan model
@@ -401,30 +400,36 @@ class _TemplateInjector(LinkDevice):
 
 
 class _ServerPoker(LinkDevice):
-    """Injects a forged data segment toward the server on an unknown
-    flow; a real stack RSTs that, and the RST must reach the client."""
+    """For every client data segment, injects one forged data segment
+    per TTL in ``forged_ttls`` toward the server on an unknown flow; a
+    real stack RSTs each that arrives, and the RST must reach the
+    client."""
 
     name = "server-poker"
     in_path = False
 
-    def __init__(self, forged_ttl: int = 64):
-        self.forged_ttl = forged_ttl
+    def __init__(self, *forged_ttls: int):
+        self.forged_ttls = forged_ttls or (64,)
 
     def inspect(self, packet, ctx):
-        if packet.is_tcp and packet.tcp.payload:
-            forged = tcp_packet(
+        if not (packet.is_tcp and packet.tcp.payload):
+            return Verdict.pass_through()
+        forged = []
+        for ttl in self.forged_ttls:
+            pkt = tcp_packet(
                 packet.ip.src,
                 packet.ip.dst,
                 packet.tcp.sport + 1,  # not an established flow
                 packet.tcp.dport,
                 flags=tcpmod.PSH | tcpmod.ACK,
                 seq=999,
-                ttl=self.forged_ttl,
+                ttl=ttl,
                 payload=b"forged",
+                net=ctx.net,
             )
-            forged.injected = True
-            return Verdict(inject_to_server=(forged,), note="poke")
-        return Verdict.pass_through()
+            pkt.injected = True
+            forged.append(pkt)
+        return Verdict(inject_to_server=tuple(forged), note="poke")
 
 
 class TestSatelliteRegressions:
@@ -464,7 +469,7 @@ class TestSatelliteRegressions:
         # Device at link 2, three routers + endpoint still ahead; a
         # forged TTL of 2 expires mid-path and dies silently.
         world = build_linear_world(
-            device=_ServerPoker(forged_ttl=2), device_link=2
+            device=_ServerPoker(2), device_link=2
         )
         received = self._payload_responses(world)
         assert not any(
@@ -488,9 +493,10 @@ class TestSatelliteRegressions:
         return forged
 
     def test_injected_to_server_rolls_loss_per_remaining_link(self):
+        # The oracle's walk, whose capture log names the delivery.
         world = build_linear_world()
         sim = world.sim
-        sim._capture_enabled = True
+        oracle = ScalarEngine(sim, capture=True)
         forged = self._forged()
         route = sim.topology.route_between(CLIENT_IP, ENDPOINT_IP)
         path = route.select(forged.flow_key(), seed=sim.seed)
@@ -501,13 +507,13 @@ class TestSatelliteRegressions:
             FaultPlan(loss=LossProfile(link_rates=(("r4", 1.0),)))
         )
         deliveries = []
-        sim._run_transit(
+        oracle._run_transit(
             Transit(forged, path, 2, POLICY_INJECTED_TO_SERVER, CLIENT_IP),
             deliveries,
         )
         assert deliveries == []
         assert sim._faults.counters.packets_lost == 1
-        assert not any(r.event == "delivered" for r in sim.capture)
+        assert not any(r.event == "delivered" for r in oracle.capture)
         # Links at or before the injection point are never rolled: the
         # forged packet only crosses the remaining links.
         sim.set_fault_plan(
@@ -517,19 +523,19 @@ class TestSatelliteRegressions:
                 )
             )
         )
-        sim.capture.clear()
+        oracle.capture.clear()
         deliveries = []
-        sim._run_transit(
+        oracle._run_transit(
             Transit(
                 self._forged(), path, 2, POLICY_INJECTED_TO_SERVER, CLIENT_IP
             ),
             deliveries,
         )
-        assert any(r.event == "delivered" for r in sim.capture)
+        assert any(r.event == "delivered" for r in oracle.capture)
 
     def test_endpoint_without_server_refuses_http_syn(self):
         endpoint = Endpoint("dns-only", "100.96.0.9", asn=1, server=None)
-        stack = EndpointStack(endpoint)
+        stack = EndpointStack(endpoint, NetContext())
         syn = tcp_packet(
             CLIENT_IP, endpoint.ip, 40000, 80, flags=tcpmod.SYN, seq=5
         )
@@ -540,7 +546,7 @@ class TestSatelliteRegressions:
     def test_endpoint_open_ports_follow_services(self):
         endpoint = Endpoint("svc", "100.96.0.9", asn=1, server=None)
         endpoint.add_service(Service(port=8080, protocol="http"))
-        stack = EndpointStack(endpoint)
+        stack = EndpointStack(endpoint, NetContext())
         assert stack.open_ports == {8080}
         syn = tcp_packet(
             CLIENT_IP, endpoint.ip, 40000, 8080, flags=tcpmod.SYN, seq=5
@@ -551,12 +557,10 @@ class TestSatelliteRegressions:
 
     def test_web_endpoint_still_serves_80_and_443(self):
         world = build_linear_world()
-        stack = EndpointStack(world.endpoint)
+        stack = EndpointStack(world.endpoint, NetContext())
         assert {80, 443} <= stack.open_ports
 
     def test_dns_retries_are_fresh_paced_queries(self):
-        from repro.netmodel.netctx import NetContext
-
         class _SilentSim:
             clock = 0.0
 

@@ -1,5 +1,5 @@
-"""Property-based simulator invariants (hypothesis), and batch-vs-scalar
-parity over generated worlds."""
+"""Property-based simulator invariants (hypothesis), and batch-vs-oracle
+parity over generated worlds and fault plans."""
 
 import functools
 import sys
@@ -23,7 +23,13 @@ from repro.devices.base import CensorshipDevice
 from repro.devices.rules import Blocklist
 from repro.devices.state import RESIDUAL_3TUPLE, RESIDUAL_HOSTS, RESIDUAL_OFF
 from repro.netmodel.http import HTTPRequest
-from repro.netsim.faults import PRESETS
+from repro.netsim.faults import (
+    PRESETS,
+    FaultPlan,
+    FlakyDeviceProfile,
+    IcmpRateLimitProfile,
+    LossProfile,
+)
 from repro.netsim.tcpstack import open_connection
 from repro.telemetry_registry import SIM_REVERSE_TTL_EXPIRED
 
@@ -104,12 +110,58 @@ class TestForwardingInvariants:
             last = world.sim.clock
 
 
+#: A link loss rate, lossless often enough that zero-rate links (which
+#: take no fault draw) show up in most generated profiles.
+loss_rates = st.just(0.0) | st.floats(min_value=0.0, max_value=0.3)
+
+
+def fault_plans(n_routers):
+    """A fault plan for a linear world of ``n_routers``, as
+    ``MIXED_PLAN`` is built by hand: per-AS and per-link loss overrides
+    over a default rate, an ICMP token bucket, and devices that fail
+    open and closed — each part present or not."""
+    nodes = [f"r{i}" for i in range(n_routers)] + ["endpoint"]
+    asns = [64501 + i for i in range(n_routers)] + [64999]
+
+    def overrides(keys):
+        return st.lists(
+            st.tuples(st.sampled_from(keys), loss_rates),
+            max_size=3,
+            unique_by=lambda pair: pair[0],
+        ).map(tuple)
+
+    loss = st.builds(
+        LossProfile,
+        default_rate=loss_rates,
+        as_rates=overrides(asns),
+        link_rates=overrides(nodes),
+    )
+    icmp = st.builds(
+        IcmpRateLimitProfile,
+        capacity=st.integers(min_value=1, max_value=3),
+        refill_rate=st.sampled_from([0.0, 0.01, 1.0]),
+    )
+    flaky = st.builds(
+        FlakyDeviceProfile,
+        fail_open_rate=st.floats(min_value=0.0, max_value=0.3),
+        fail_closed_rate=st.floats(min_value=0.0, max_value=0.3),
+    )
+    return st.builds(
+        FaultPlan,
+        name=st.just("generated"),
+        loss=st.none() | loss,
+        icmp_rate_limit=st.none() | icmp,
+        flaky_devices=st.none() | flaky,
+    )
+
+
 @st.composite
 def linear_worlds(draw):
     """A linear world's knobs: where the device and a header-rewriting
     router sit (or none), loss, an open or closed port, how the device
-    acts, stamps its forged packets' TTL and punishes, and a fault-plan
-    preset (or none).
+    acts, stamps its forged packets' TTL, punishes and whether it also
+    resets the server side, and a fault plan: none, a preset, or a
+    generated one.
 
     A TTL-copying injector's replies start back with the probe's
     remaining TTL, so a low-TTL probe's forged RST can die of TTL on
@@ -127,7 +179,10 @@ def linear_worlds(draw):
         "residual_mode": draw(
             st.sampled_from([RESIDUAL_OFF, RESIDUAL_HOSTS, RESIDUAL_3TUPLE])
         ),
-        "plan": draw(st.sampled_from([None, *sorted(PRESETS)])),
+        "rst_to_server": draw(st.booleans()),
+        "plan": draw(
+            st.sampled_from([None, *sorted(PRESETS)]) | fault_plans(n_routers)
+        ),
         "seed": draw(st.integers(min_value=0, max_value=1000)),
     }
 
@@ -144,6 +199,7 @@ def generated_world(params):
                 action=BlockAction(
                     kind=params["action"],
                     signature=InjectionSignature(ttl_mode=params["ttl_mode"]),
+                    rst_to_server=params["rst_to_server"],
                 ),
                 residual_mode=params["residual_mode"],
                 residual_duration=3.0,
@@ -166,19 +222,21 @@ def generated_world(params):
 
 def check_parity(params):
     """Run both engines on ``params``' world and assert they agree;
-    returns the batched run's telemetry counters."""
+    returns the batched run's telemetry counters. ``params["plan"]`` is
+    None, a preset's name or a :class:`FaultPlan`."""
     plan = params["plan"]
     return run_pair(
         generated_world(params),
         params["loss_rate"],
         workload=functools.partial(tcp_workflow, n=12, port=params["port"]),
-        plan=PRESETS[plan] if plan is not None else None,
+        plan=PRESETS[plan] if isinstance(plan, str) else plan,
     )[2]
 
 
 class TestGeneratedWorldParity:
-    """The scalar and batched engines agree on every generated world:
-    deliveries, RNG and identifier streams, clock and counters."""
+    """The oracle and the batched plane agree on every generated world
+    and fault plan: deliveries, RNG and identifier streams, clock and
+    counters."""
 
     @settings(max_examples=25, deadline=None)
     @given(params=linear_worlds())
@@ -207,6 +265,7 @@ class TestGeneratedWorldParity:
                 "action": KIND_RST,
                 "ttl_mode": TTL_COPY,
                 "residual_mode": RESIDUAL_OFF,
+                "rst_to_server": False,
                 "plan": plan,
                 "seed": 1,
             }

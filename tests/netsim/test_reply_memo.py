@@ -29,6 +29,8 @@ from repro.netsim.simulator import EndpointStack
 from repro.netsim.tcpstack import Connection, open_connection
 from repro.services.webserver import FilteringWebServer, ServerProfile
 
+from ..oracle.scalar import ScalarEngine
+
 DOMAINS = (OK_DOMAIN, BLOCKED_DOMAIN, CONTROL_DOMAIN)
 
 
@@ -153,7 +155,7 @@ def encodes(monkeypatch):
 @pytest.mark.parametrize("batched", [True, False], ids=["batch", "scalar"])
 class TestLazySentBytes:
     def _connect(self, world, batched):
-        engine = world.sim.batch_engine() if batched else None
+        engine = world.sim.batch_engine() if batched else ScalarEngine(world.sim)
         return open_connection(
             world.sim, world.client, ENDPOINT_IP, 80, engine=engine
         )

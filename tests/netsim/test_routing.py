@@ -16,6 +16,8 @@ from repro.netsim.tcpstack import Connection
 from repro.netsim.topology import Client, Endpoint, Router, Topology
 from repro.services.webserver import WebServer
 
+from ..oracle.scalar import ScalarEngine
+
 
 def _path(names):
     return Path([Hop(n) for n in names])
@@ -295,7 +297,7 @@ def hashes(monkeypatch):
 @pytest.mark.parametrize("batched", [True, False], ids=["batch", "scalar"])
 class TestHashesPerConnection:
     def _connection(self, sim, client, endpoint, batched):
-        engine = sim.batch_engine() if batched else None
+        engine = sim.batch_engine() if batched else ScalarEngine(sim)
         conn = Connection(sim, client, endpoint.ip, 80, engine=engine)
         assert conn.connect()
         result = conn.send_payload(HTTPRequest.normal("www.ok.example").build())

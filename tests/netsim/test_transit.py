@@ -1,10 +1,11 @@
-"""The unified transit engine: direction semantics as declared policy.
+"""The reference transit walk: direction semantics as declared policy.
 
-Every walk kind (forward client traffic, injected-to-server forgeries,
-reverse return traffic) runs through ``Simulator._run_transit``; these
-tests pin the policy-bit matrix, the shared loss-roll stream, TTL
-decrement parity across directions, and the single-resolve-per-path
-memoization the engine relies on.
+Every walk kind of the oracle (forward client traffic, injected-to-
+server forgeries, reverse return traffic) runs through
+``ScalarEngine._run_transit`` (``tests/oracle``); these tests pin the
+policy-bit matrix, the shared loss-roll stream, TTL decrement parity
+across directions, and the single-resolve-per-path memoization the walk
+relies on. The parity suites hold the batched plane to this walk.
 """
 
 import inspect
@@ -15,18 +16,16 @@ import pytest
 from repro.netmodel import tcp as tcpmod
 from repro.netmodel.packet import tcp_packet
 from repro.netsim.routing import Hop, Path, Route
-from repro.netsim.simulator import (
-    CLIENT_LINK,
-    POLICY_FORWARD,
-    POLICY_INJECTED_TO_SERVER,
-    POLICY_REVERSE,
-    Simulator,
-    Transit,
-    TransitPolicy,
-)
 from repro.telemetry import Telemetry
 
 from ..helpers import CLIENT_IP, ENDPOINT_IP, build_linear_world
+from ..oracle.scalar import (
+    POLICY_FORWARD,
+    POLICY_INJECTED_TO_SERVER,
+    POLICY_REVERSE,
+    ScalarEngine,
+    Transit,
+)
 
 
 def _path_for(world):
@@ -97,12 +96,12 @@ class TestPolicyMatrix:
 class TestSingleHopLoop:
     def test_exactly_one_hop_traversal_loop(self):
         """The refactor's contract: one loop walks every packet."""
-        source = inspect.getsource(Simulator)
+        source = inspect.getsource(ScalarEngine)
         assert source.count("for index in") == 1
 
     def test_legacy_walk_methods_are_gone(self):
         for name in ("_walk_forward", "_walk_reverse", "_walk_injected_to_server"):
-            assert not hasattr(Simulator, name)
+            assert not hasattr(ScalarEngine, name)
 
 
 class TestLossRollStream:
@@ -111,7 +110,7 @@ class TestLossRollStream:
 
     def test_forward_walk_consumes_one_roll_per_link(self):
         world = build_linear_world(n_routers=4, loss_rate=0.0001, seed=13)
-        world.sim.send_from_client(_probe())
+        ScalarEngine(world.sim).send(_probe())
         # Endpoint answered (SYN-ACK): forward crossed 5 links, the
         # reply crossed 4 router links plus the client link.
         expected = random.Random(13)
@@ -123,30 +122,27 @@ class TestLossRollStream:
         outcomes = []
         for _ in range(2):
             world = build_linear_world(n_routers=5, loss_rate=0.4, seed=99)
-            world.sim._capture_enabled = True
+            oracle = ScalarEngine(world.sim, capture=True)
             for _ in range(6):
-                world.sim.send_from_client(_probe())
-            outcomes.append(
-                [(r.location, r.event) for r in world.sim.capture]
-            )
+                oracle.send(_probe())
+            outcomes.append([(r.location, r.event) for r in oracle.capture])
         assert outcomes[0] == outcomes[1]
 
     def test_injected_transit_skips_entry_link_roll(self):
         """The device's own link carries no loss roll; later links do."""
         world = build_linear_world(n_routers=3, loss_rate=1.0, seed=1)
-        sim = world.sim
-        sim._capture_enabled = True
+        oracle = ScalarEngine(world.sim, capture=True)
         path = _path_for(world)
         forged = _probe(payload=b"forged", sport=47001)
         forged.injected = True
         deliveries = []
-        sim._run_transit(
+        oracle._run_transit(
             Transit(forged, path, 2, POLICY_INJECTED_TO_SERVER, CLIENT_IP),
             deliveries,
         )
         # With 100% loss the packet survives its entry link (no roll)
         # and dies on the very next one.
-        events = [(r.location, r.event) for r in sim.capture]
+        events = [(r.location, r.event) for r in oracle.capture]
         assert events == [("endpoint", "loss-injected")]
         assert deliveries == []
 
@@ -154,15 +150,14 @@ class TestLossRollStream:
         """Loss on the final link into the client drops the delivery
         without a capture record (there is no hop to attribute it to)."""
         world = build_linear_world(n_routers=2, loss_rate=1.0, seed=3)
-        sim = world.sim
-        sim._capture_enabled = True
+        oracle = ScalarEngine(world.sim, capture=True)
         deliveries = []
-        sim._run_transit(
+        oracle._run_transit(
             Transit(_reverse_packet(), _path_for(world), 0, POLICY_REVERSE, CLIENT_IP),
             deliveries,
         )
         assert deliveries == []
-        assert sim.capture == []
+        assert oracle.capture == []
 
 
 class TestTTLDecrementParity:
@@ -170,10 +165,9 @@ class TestTTLDecrementParity:
 
     def test_forward_arrival_ttl(self):
         world = build_linear_world(n_routers=4, seed=5)
-        sim = world.sim
-        sim._capture_enabled = True
-        sim.send_from_client(_probe(ttl=64))
-        delivered = [r for r in sim.capture if r.event == "delivered"]
+        oracle = ScalarEngine(world.sim, capture=True)
+        oracle.send(_probe(ttl=64))
+        delivered = [r for r in oracle.capture if r.event == "delivered"]
         assert delivered, "probe should reach the endpoint"
         # 4 routers cost 4 TTL.
         assert "ttl=60" in delivered[0].detail
@@ -181,7 +175,7 @@ class TestTTLDecrementParity:
     def test_reverse_arrival_ttl(self):
         world = build_linear_world(n_routers=4, seed=5)
         deliveries = []
-        world.sim._run_transit(
+        ScalarEngine(world.sim)._run_transit(
             Transit(
                 _reverse_packet(ttl=64),
                 _path_for(world),
@@ -200,7 +194,7 @@ class TestTTLDecrementParity:
     def test_silent_expiry_counted(self, policy):
         world = build_linear_world(n_routers=4, seed=5)
         sim = world.sim
-        sim._capture_enabled = True
+        oracle = ScalarEngine(sim, capture=True)
         tel = Telemetry()
         sim.set_telemetry(tel)
         deliveries = []
@@ -214,10 +208,10 @@ class TestTTLDecrementParity:
             transit = Transit(
                 forged, _path_for(world), 0, POLICY_INJECTED_TO_SERVER, CLIENT_IP
             )
-        sim._run_transit(transit, deliveries)
+        oracle._run_transit(transit, deliveries)
         assert deliveries == []
         assert tel.counters[policy.expiry_counter] == 1
-        assert any(r.event == policy.expiry_event for r in sim.capture)
+        assert any(r.event == policy.expiry_event for r in oracle.capture)
 
 
 class TestPathResolutionMemoization:
@@ -244,6 +238,6 @@ class TestPathResolutionMemoization:
         path.resolve = counting_resolve
         # A TTL-limited probe triggers a router expiry, whose ICMP
         # response spawns a reverse transit over the same path.
-        responses = world.sim.send_from_client(_probe(ttl=2))
+        responses = ScalarEngine(world.sim).send(_probe(ttl=2))
         assert any(p.is_icmp for p in responses)
         assert len(calls) == 1

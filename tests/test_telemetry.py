@@ -249,7 +249,8 @@ class TestRegistry:
 
 class TestTransitExpiryCounters:
     """Telemetry parity for silent TTL expiry: reverse and injected
-    transits count their deaths just like forward expiry does."""
+    transits of the reference walk (``tests/oracle``) count their
+    deaths just like forward expiry does."""
 
     def _world(self):
         from .helpers import build_linear_world
@@ -259,7 +260,7 @@ class TestTransitExpiryCounters:
     def test_reverse_expiry_counter(self):
         from repro.netmodel import tcp as tcpmod
         from repro.netmodel.packet import tcp_packet
-        from repro.netsim.simulator import POLICY_REVERSE, Transit
+        from .oracle.scalar import POLICY_REVERSE, ScalarEngine, Transit
 
         world = self._world()
         sim = world.sim
@@ -275,7 +276,7 @@ class TestTransitExpiryCounters:
             ttl=1,
         )
         deliveries = []
-        sim._run_transit(
+        ScalarEngine(sim)._run_transit(
             Transit(packet, route.paths[0], 4, POLICY_REVERSE, world.client.ip),
             deliveries,
         )
@@ -285,7 +286,7 @@ class TestTransitExpiryCounters:
     def test_injected_expiry_counter(self):
         from repro.netmodel import tcp as tcpmod
         from repro.netmodel.packet import tcp_packet
-        from repro.netsim.simulator import POLICY_INJECTED_TO_SERVER, Transit
+        from .oracle.scalar import POLICY_INJECTED_TO_SERVER, ScalarEngine, Transit
 
         world = self._world()
         sim = world.sim
@@ -303,7 +304,7 @@ class TestTransitExpiryCounters:
         )
         forged.injected = True
         deliveries = []
-        sim._run_transit(
+        ScalarEngine(sim)._run_transit(
             Transit(
                 forged,
                 route.paths[0],
@@ -330,9 +331,9 @@ class TestTransitExpiryCounters:
 
 
 class TestBatchCounters:
-    """The batched packet plane's observability (PR 6 satellite):
-    fast-path/fallback counters and the per-batch size event, all
-    rendered by ``repro report`` like any other counter."""
+    """The batched packet plane's observability: the client-send and
+    control-segment counters and the per-batch size event, all rendered
+    by ``repro report`` like any other counter."""
 
     def _world(self):
         from .helpers import build_linear_world
@@ -360,25 +361,18 @@ class TestBatchCounters:
         for i in range(3):
             engine.send(self._syn(world, 40000 + i))
         assert tel.counters["sim.batch_fast_path"] == 3
-        assert "sim.batch_scalar_fallback" not in tel.counters
 
     def test_fallback_counter_under_fault_plan(self):
         from repro.netsim.faults import PRESETS
-
-        from .helpers import count_forward_transits
 
         world = self._world()
         tel = Telemetry()
         world.sim.set_telemetry(tel)
         world.sim.set_fault_plan(PRESETS["lossy"])
-        counts = count_forward_transits(world.sim)
         engine = world.sim.batch_engine()
         for i in range(2):
             engine.send(self._syn(world, 41000 + i))
-        # Fault plans ride the fast path: nothing falls back.
         assert tel.counters["sim.batch_fast_path"] == 2
-        assert "sim.batch_scalar_fallback" not in tel.counters
-        assert counts["forward"] == 0
 
     def test_batch_event_size_histogram(self):
         world = self._world()
@@ -391,30 +385,8 @@ class TestBatchCounters:
         assert tel.counters["sim.batches"] == 1
         events = [e for e in tel.events if e["kind"] == "sim.batch"]
         assert events == [
-            {
-                "kind": "sim.batch",
-                "label": "test-sweep",
-                "size": 4,
-                "fast": 4,
-                "fallback": 0,
-            }
+            {"kind": "sim.batch", "label": "test-sweep", "size": 4}
         ]
-
-    def test_batch_event_mixes_fast_and_fallback(self):
-        world = self._world()
-        tel = Telemetry()
-        world.sim.set_telemetry(tel)
-        engine = world.sim.batch_engine()
-        with engine.batch("mixed"):
-            engine.send(self._syn(world, 43000))
-            # Capture is the one mode the batched walk hands back to
-            # the scalar engine.
-            world.sim._capture_enabled = True
-            engine.send(self._syn(world, 43001))
-        event = [e for e in tel.events if e["kind"] == "sim.batch"][0]
-        assert event["size"] == 2
-        assert event["fast"] == 1
-        assert event["fallback"] == 1
 
     def test_counters_surface_in_run_report(self):
         world = self._world()
@@ -470,5 +442,5 @@ class TestBatchCounters:
         events = [e for e in tel.events if e["kind"] == "sim.batch"]
         assert len(events) == 1
         assert events[0]["label"] == "centrace.sweep"
-        assert events[0]["size"] == events[0]["fast"] + events[0]["fallback"]
+        assert events[0]["size"] == tel.counters["sim.batch_fast_path"]
         assert events[0]["size"] > 0
