@@ -32,19 +32,21 @@ the path hop by hop:
   its IP ID, asks every device it reaches (the plan's flat
   ``control_devices`` span) whether it passes the flow untouched
   (:meth:`~repro.netsim.interfaces.LinkDevice.passes_control`), draws
-  its forward walk (with no fault plan, one lottery of ``last_hop + 1``
-  uniform loss draws; under one, device by device, since flaky-device
-  fates share the fault RNG with loss), meets the endpoint's TCP
+  its forward walk as one lottery (with no fault plan, ``last_hop + 1``
+  uniform loss draws; under one, the plan's :class:`ControlSchedule`:
+  every loss draw and flaky-device fate the walk takes, in order,
+  compiled once per fault configuration), meets the endpoint's TCP
   transition, and draws the reply's IP ID and reverse walk; only the
-  reply's flags and sequence number come back. A segment some device
-  may act on (a residually punished tuple) is built and walked by the
-  per-send path instead.
+  reply's flags and sequence number come back.
+  A segment some device may act on (a residually punished tuple) is
+  built and walked by the per-send path instead.
 
 Fault plans run on the same compiled plans: per-link loss profiles
-draw from the fault RNG against per-hop rates cached on the plan,
-flaky-device fates are rolled before each inspection, token-bucket
-ICMP suppression is checked on expiry, and path churn and delivery
-shaping wrap each send, control segments included. Every walk
+draw from the fault RNG against per-hop rates cached on the plan (a
+reverse walk under one is a lottery too, over the rates in reverse-walk
+order), flaky-device fates are rolled before each inspection,
+token-bucket ICMP suppression is checked on expiry, and path churn and
+delivery shaping wrap each send, control segments included. Every walk
 reproduces the reference semantics of the scalar transit walk kept
 with the tests (``tests/oracle``) exactly — deliveries, the RNG draw
 streams, identifier streams, the clock and telemetry — which the
@@ -88,8 +90,8 @@ from ..telemetry_registry import (
     SIM_PACKETS_LOST,
     SIM_REVERSE_TTL_EXPIRED,
 )
-from .faults import FATE_FAIL_CLOSED, FATE_FAIL_OPEN, LossProfile
-from .interfaces import DIRECTION_FORWARD, InspectionContext, Verdict
+from .faults import FATE_FAIL_CLOSED, FATE_FAIL_OPEN, FaultPlan, LossProfile
+from .interfaces import DIRECTION_FORWARD, InspectionContext, LinkDevice, Verdict
 from .routing import Path
 from .simulator import Simulator
 from .topology import Endpoint, Router
@@ -145,6 +147,7 @@ class PathPlan:
         "nodes",
         "control_terminal",
         "control_devices",
+        "control_schedule",
         "_loss_profile",
         "_loss_rates",
     )
@@ -209,8 +212,9 @@ class PathPlan:
             if index <= control_last
             for device in devices
         )
+        self.control_schedule: Optional[ControlSchedule] = None
         self._loss_profile: Optional[LossProfile] = None
-        self._loss_rates: Tuple[Tuple[float, ...], float] = ((), 0.0)
+        self._loss_rates: Tuple[Tuple[float, ...], Tuple[float, ...]] = ((), ())
 
     def terminal_for(self, ttl: int) -> Tuple[str, int, Optional[Router]]:
         """``(terminal kind, last hop, expiring router)`` of a forward
@@ -232,20 +236,112 @@ class PathPlan:
 
     def loss_rates(
         self, profile: LossProfile
-    ) -> Tuple[Tuple[float, ...], float]:
-        """``profile``'s rate for the link leading to each hop, plus the
-        client link's rate — cached for the last profile seen.
+    ) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+        """``profile``'s rate for the link leading to each hop, and the
+        same rates in reverse-walk order followed by the client link's
+        rate — cached for the last profile seen.
 
-        The fault-plan walks index this tuple instead of resolving
-        ``LossProfile.rate_for`` link by link.
+        The fault-plan walks index these tuples instead of resolving
+        ``LossProfile.rate_for`` link by link. A reverse walk from hop
+        ``s`` rolls ``reverse[n_hops - s:]``, in order.
         """
         if self._loss_profile is not profile:
-            self._loss_rates = (
-                tuple(profile.rate_for(node) for node in self.nodes),
-                profile.rate_for(None),
-            )
+            rates = tuple(profile.rate_for(node) for node in self.nodes)
+            reverse = rates[::-1] + (profile.rate_for(None),)
+            self._loss_rates = (rates, reverse)
             self._loss_profile = profile
         return self._loss_rates
+
+
+class ControlSchedule:
+    """Every draw a TTL-64 control segment takes on one plan under one
+    fault plan and uniform loss rate, in walk order, up to the plan's
+    ``control_terminal``.
+
+    A step is a loss draw for a link with a positive rate — from the
+    fault RNG at a loss profile's rate, else from the base RNG at the
+    uniform rate — or a fate roll from the fault RNG for a device the
+    flaky profile applies to. ``thresholds[i]`` is what a step's draw
+    must fall below for anything to happen: the loss rate, or the sum
+    of the fail-open and fail-closed rates. ``devices[i]`` is the
+    rolled device, None for a loss step. A lottery stops at the first
+    loss or at a fail-closed fate on an in-path device, and the
+    telemetry of the walk follows from where it stopped:
+    ``links_at[i]`` links were rolled and ``reached_at[i]`` devices
+    reached (the rolled device included) when it stops at step ``i``;
+    ``links`` and ``reached`` when it runs through.
+    """
+
+    __slots__ = (
+        "fault_plan",
+        "loss_rate",
+        "profiled",
+        "flaky",
+        "fail_open_rate",
+        "fault_rng",
+        "fault_draws",
+        "thresholds",
+        "devices",
+        "links_at",
+        "reached_at",
+        "links",
+        "reached",
+    )
+
+    def __init__(
+        self,
+        plan: PathPlan,
+        fault_plan: FaultPlan,
+        loss_rate: float,
+    ) -> None:
+        self.fault_plan = fault_plan
+        self.loss_rate = loss_rate
+        loss = fault_plan.loss
+        flaky = fault_plan.flaky_devices
+        self.profiled = loss is not None
+        self.flaky = flaky is not None
+        self.fail_open_rate = flaky.fail_open_rate if flaky is not None else 0.0
+        last_hop = plan.control_terminal[1]
+        if loss is not None:
+            # The profile replaces the uniform rate wholesale.
+            rates = plan.loss_rates(loss)[0]
+        else:
+            rates = (loss_rate,) * (last_hop + 1)
+        devices_at = dict(plan.device_hops)
+        thresholds: List[float] = []
+        devices: List[Optional[LinkDevice]] = []
+        links_at: List[int] = []
+        reached_at: List[int] = []
+        fault_draws: List[bool] = []
+        reached = 0
+        for link in range(last_hop + 1):
+            if rates[link] > 0.0:
+                thresholds.append(rates[link])
+                devices.append(None)
+                links_at.append(link + 1)
+                reached_at.append(reached)
+                fault_draws.append(loss is not None)
+            for device in devices_at.get(link, ()):
+                reached += 1
+                if flaky is not None and flaky.applies_to(device):
+                    thresholds.append(
+                        flaky.fail_open_rate + flaky.fail_closed_rate
+                    )
+                    devices.append(device)
+                    links_at.append(link + 1)
+                    reached_at.append(reached)
+                    fault_draws.append(True)
+        self.thresholds = tuple(thresholds)
+        self.devices = tuple(devices)
+        self.links_at = tuple(links_at)
+        self.reached_at = tuple(reached_at)
+        self.links = last_hop + 1
+        self.reached = reached
+        # Uniform loss under a flaky profile interleaves the two RNGs;
+        # otherwise one of them serves every step.
+        self.fault_rng = all(fault_draws)
+        mixed = any(fault_draws) and not all(fault_draws)
+        self.fault_draws = tuple(fault_draws) if mixed else None
 
 
 class BatchEngine:
@@ -371,10 +467,8 @@ class BatchEngine:
             self._batches[-1][1] += 1
         sim.clock += sim.per_packet_time
         faults = sim._faults
-        path_seed = sim.seed
         if faults is not None:
             faults.note_client_packet(sim.clock)
-            path_seed = faults.path_seed(sim.seed)
         entry = self._routes.get((src, dst))
         route, plan = entry if entry is not None else self._route_for(src, dst)
         if plan is not None:
@@ -387,7 +481,9 @@ class BatchEngine:
                 if packet.tcp is not None
                 else FlowKey(src, dst, 0, 0, 1)
             )
-        return self.plan_for(route.select(flow, seed=path_seed))
+        # Churn moves the ECMP hash seed (Simulator.current_path_seed).
+        seed = sim.seed if faults is None else faults.path_seed(sim.seed)
+        return self.plan_for(route.select(flow, seed=seed))
 
     def _leave(self, deliveries: List[Packet]) -> List[Packet]:
         """Finish one client send: shape its deliveries, count it."""
@@ -694,46 +790,23 @@ class BatchEngine:
 
         The reverse walk: one loss draw per link
         (hops ``start_index-1 .. 0`` plus the client link, in order),
-        TTL decrement at routers with silent expiry. Under a fault-plan
+        TTL decrement at routers with silent expiry. It is one lottery
+        whose length the TTL fixes: all ``start_index + 1`` links when
+        the TTL exceeds the routers crossed (every TTL-64 reply), else
+        the links up to the router that expires it. Under a fault-plan
         loss profile the draws come from the fault RNG at the plan's
-        cached per-link rates. Uniform loss is one lottery whose length
-        the TTL fixes: all ``start_index + 1`` links when the TTL
-        exceeds the routers crossed (every TTL-64 reply), else the links
-        up to the router that expires it. With no loss at all the whole
-        walk reduces to one subtraction against the plan's router counts.
+        cached per-link rates in reverse-walk order (a zero-rate link is
+        rolled without a draw), else from the base RNG at the uniform
+        rate. With no loss at all the whole walk reduces to one
+        subtraction against the plan's router counts.
         """
         sim = self.sim
         tel = sim.telemetry
-        tel_on = tel.enabled
-        rate = sim.loss_rate
-        faults = sim._faults
-        if faults is not None and faults.per_link_loss:
-            rates, client_rate = plan.loss_rates(faults.plan.loss)
-            rnd = faults.rng.random
-            is_router = plan.is_router
-            rolls = 0
-            for j in range(start_index - 1, -1, -1):
-                rolls += 1
-                link_rate = rates[j]
-                if link_rate > 0.0 and rnd() < link_rate:
-                    self._fault_lost(rolls)
-                    return None
-                if is_router[j]:
-                    ttl -= 1
-                    if ttl <= 0:
-                        if tel_on:
-                            tel.count(SIM_FAULT_LOSS_ROLLS, rolls)
-                            tel.count(SIM_REVERSE_TTL_EXPIRED)
-                        return None
-            rolls += 1
-            if client_rate > 0.0 and rnd() < client_rate:
-                self._fault_lost(rolls)
-                return None
-            if tel_on:
-                tel.count(SIM_FAULT_LOSS_ROLLS, rolls)
-            return ttl
         crossed = plan.routers_before[start_index]
-        if rate > 0:
+        faults = sim._faults
+        profiled = faults is not None and faults.per_link_loss
+        rate = sim.loss_rate
+        if profiled or rate > 0:
             if ttl > crossed:
                 draws = start_index + 1
             else:
@@ -743,14 +816,25 @@ class BatchEngine:
                 draws = start_index + 1 - bisect_left(
                     plan.routers_before, crossed - ttl + 1
                 )
-            rnd = sim._rng.random
-            for _ in range(draws):
-                if rnd() < rate:
-                    if tel_on:
-                        tel.count(SIM_PACKETS_LOST)
-                    return None
+            if profiled:
+                first = plan.n_hops - start_index
+                rates = plan.loss_rates(faults.plan.loss)[1]
+                rnd = faults.rng.random
+                for rolls, rate in enumerate(rates[first : first + draws], 1):
+                    if rate > 0.0 and rnd() < rate:
+                        self._fault_lost(rolls)
+                        return None
+                if tel.enabled:
+                    tel.count(SIM_FAULT_LOSS_ROLLS, draws)
+            else:
+                rnd = sim._rng.random
+                for _ in range(draws):
+                    if rnd() < rate:
+                        if tel.enabled:
+                            tel.count(SIM_PACKETS_LOST)
+                        return None
         if ttl <= crossed:
-            if tel_on:
+            if tel.enabled:
                 tel.count(SIM_REVERSE_TTL_EXPIRED)
             return None
         return ttl - crossed
@@ -916,7 +1000,7 @@ class BatchEngine:
         if faults is None:
             reached = self._control_lottery(plan, last_hop)
         else:
-            reached = self._control_walk(plan, last_hop)
+            reached = self._fault_lottery(plan)
         replies: List[Tuple[int, int]] = []
         if reached and terminal is _DELIVER:
             stack = sim._stack_for(plan.endpoint)
@@ -973,38 +1057,77 @@ class BatchEngine:
                 tel.count(SIM_DEVICE_INSPECTIONS, inspected)
         return crossed == stop
 
-    def _control_walk(self, plan: PathPlan, last_hop: int) -> bool:
-        """The forward walk of a control segment that every device
-        passes, under a fault plan: :meth:`_walk_forward`'s loss draws
-        and flaky-device fates, in its order, with one inspection
-        counted per device reached. True when the segment reaches hop
-        ``last_hop``."""
+    def _fault_lottery(self, plan: PathPlan) -> bool:
+        """:meth:`_control_lottery` under a fault plan: one lottery over
+        the plan's :class:`ControlSchedule` for the fault plan and the
+        uniform loss rate in force, exactly the draws of
+        :meth:`_walk_forward` in its order. True when the segment
+        reaches the plan's control terminal.
+
+        The walk's counters follow from the step where the lottery
+        stopped (and the fail-open fates it met on the way).
+        """
         sim = self.sim
-        tel = sim.telemetry
-        tel_on = tel.enabled
-        rates, flaky = self._fault_walk(plan)
-        lossy = rates is not None or sim.loss_rate > 0
         faults = sim._faults
-        cursor = 0
-        for dev_hop, devices in plan.device_hops:
-            if dev_hop > last_hop:
-                break
-            if lossy:
-                if self._forward_lost(rates, cursor, dev_hop + 1):
-                    return False
-                cursor = dev_hop + 1
-            for device in devices:
-                if flaky:
-                    if tel_on:
-                        tel.count(SIM_FAULT_DEVICE_ROLLS)
-                    fate = faults.device_fate(device)
-                    if fate == FATE_FAIL_OPEN:
-                        continue
-                    if fate == FATE_FAIL_CLOSED and device.in_path:
-                        return False
-                if tel_on:
-                    tel.count(SIM_DEVICE_INSPECTIONS)
-        return not (lossy and self._forward_lost(rates, cursor, last_hop + 1))
+        schedule = plan.control_schedule
+        if (
+            schedule is None
+            or schedule.fault_plan is not faults.plan
+            or schedule.loss_rate != sim.loss_rate
+        ):
+            schedule = plan.control_schedule = ControlSchedule(
+                plan, faults.plan, sim.loss_rate
+            )
+        if schedule.fault_draws is None:
+            rnd = (faults.rng if schedule.fault_rng else sim._rng).random
+        else:
+            # Uniform loss under a flaky profile: each step's own RNG.
+            draws = iter(
+                [
+                    faults.rng.random if fault else sim._rng.random
+                    for fault in schedule.fault_draws
+                ]
+            )
+            rnd = lambda: next(draws)()
+        stopped = -1
+        opened = 0
+        for step, threshold in enumerate(schedule.thresholds):
+            roll = rnd()
+            if roll < threshold:
+                device = schedule.devices[step]
+                if device is None:
+                    stopped = step  # lost on this link
+                    break
+                if roll < schedule.fail_open_rate:
+                    faults.counters.fail_open += 1
+                    opened += 1
+                    continue
+                faults.counters.fail_closed += 1
+                if device.in_path:
+                    stopped = step
+                    break
+        lost = stopped >= 0 and schedule.devices[stopped] is None
+        if lost and schedule.profiled:
+            faults.counters.packets_lost += 1
+        tel = sim.telemetry
+        if tel.enabled:
+            if stopped < 0:
+                links, reached = schedule.links, schedule.reached
+            else:
+                links = schedule.links_at[stopped]
+                reached = schedule.reached_at[stopped]
+            if schedule.profiled:
+                tel.count(SIM_FAULT_LOSS_ROLLS, links)
+            if lost:
+                tel.count(SIM_PACKETS_LOST)
+            if schedule.flaky and reached:
+                tel.count(SIM_FAULT_DEVICE_ROLLS, reached)
+            # A device that failed open, or closed and ended the walk,
+            # was not inspected.
+            inspected = reached - opened - (stopped >= 0 and not lost)
+            if inspected:
+                tel.count(SIM_DEVICE_INSPECTIONS, inspected)
+        return stopped < 0
 
     # -- TTL ladders ----------------------------------------------------
 

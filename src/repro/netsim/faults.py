@@ -323,6 +323,8 @@ class FaultState:
 
     def __init__(self, plan: FaultPlan, seed: int) -> None:
         self.plan = plan
+        # A loss profile replaces the uniform rate on every walk.
+        self.per_link_loss = plan.loss is not None
         self.reset(seed)
 
     def reset(self, seed: int) -> None:
@@ -334,12 +336,6 @@ class FaultState:
         self.epoch = 0
         self._epoch_clock_start = 0.0
         self.counters = FaultCounters()
-
-    # -- loss --------------------------------------------------------------
-
-    @property
-    def per_link_loss(self) -> bool:
-        return self.plan.loss is not None
 
     # -- ICMP rate limiting ------------------------------------------------
 

@@ -25,6 +25,9 @@ GOLDEN = {
     "az-lossy-serial": "62962b5cddf7f5203bd50921c99ffdde38cfacb1337cd1ea502c2168ec9b8bab",
     "az-lossy-par2": "62962b5cddf7f5203bd50921c99ffdde38cfacb1337cd1ea502c2168ec9b8bab",
     "kz-serial": "68ede6f269f27461938794737d92937521b5667d76cc97fd816aa764edf6ff01",
+    # Recorded before the fault-plan lotteries landed: flaky fates, the
+    # loss profile, ICMP buckets, churn and delivery shaping together.
+    "az-chaos-serial": "149bf84cb6447e5bd62331a8e7b5eb43adcadecc2faa500de43251a35a5017b4",
 }
 
 CASES = [
@@ -33,6 +36,7 @@ CASES = [
     ("AZ", 7, None, "az-lossy-serial", "lossy"),
     ("AZ", 7, 2, "az-lossy-par2", "lossy"),
     ("KZ", 11, None, "kz-serial", None),
+    ("AZ", 7, None, "az-chaos-serial", "chaos"),
 ]
 
 

@@ -2,14 +2,18 @@
 
 The :class:`~repro.netsim.batch.BatchEngine` promises to reproduce the
 reference scalar walk (:class:`tests.oracle.scalar.ScalarEngine`) *exactly*:
-delivered bytes, the base RNG draw stream, NetContext identifier
-streams, the virtual clock and every telemetry counter. These tests
-drive both engines over the same workloads on fresh worlds and compare
-all five surfaces.
+delivered bytes, the base RNG draw stream (how many draws, and where
+the stream ends up), NetContext identifier streams, the virtual clock
+and every telemetry counter. These tests drive both engines over the
+same workloads on fresh worlds and compare all five surfaces, once
+under a telemetry sink and once under ``NULL_TELEMETRY`` (the mode the
+benchmark and the golden digests run in), where all but the counters
+are compared.
 
 Fault plans run on the batched plane too, so every snapshot also
-compares the fault state: the fault RNG's next draws, the ground-truth
-fault counters, the churn epoch and the ICMP token-bucket levels.
+compares the fault state: the fault RNG's draw count and next draws,
+the ground-truth fault counters, the churn epoch and the ICMP
+token-bucket levels.
 
 The fast subset (plain / device / rewrite worlds, a device beside
 rewriting routers and a Fortinet device that forges RSTs toward the
@@ -21,6 +25,7 @@ exhaustive world x loss grid and the fault-preset grid ride behind
 
 import dataclasses
 import functools
+import random
 import sys
 from pathlib import Path as _Path
 from types import SimpleNamespace
@@ -58,7 +63,7 @@ from repro.netsim.simulator import Simulator
 from repro.netsim.tcpstack import open_connection
 from repro.netsim.topology import Client, Endpoint, Router, Topology
 from repro.services.dnsresolver import DNSResolver
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry_registry import (
     SIM_INJECTED_TO_SERVER,
     SIM_INJECTED_TTL_EXPIRED,
@@ -248,60 +253,119 @@ def tcp_workflow(sim, client, engine=None, n=24, port=80):
     return out
 
 
+class CountingRandom(random.Random):
+    """A ``random.Random`` that continues ``source``'s stream and counts
+    the draws taken from it.
+
+    Comparing where two streams ended up is not enough: a shifted loss
+    stream can realign and still agree on the next draws. The draw count
+    of each RNG is compared too. (Overriding ``getrandbits`` beside
+    ``random`` keeps ``randrange`` and friends on their usual path.)
+    """
+
+    def __init__(self, source: random.Random) -> None:
+        super().__init__()
+        self.setstate(source.getstate())
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return super().random()
+
+    def getrandbits(self, k: int) -> int:
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+def count_draws(sim):
+    """Swap the simulator's base RNG and its fault RNG (install the
+    fault plan first) for counting continuations of their streams."""
+    sim._rng = CountingRandom(sim._rng)
+    if sim._faults is not None:
+        sim._faults.rng = CountingRandom(sim._faults.rng)
+
+
 def observe(sim, tel):
-    """Everything the two engines must agree on, beyond deliveries.
+    """Everything the two engines must agree on, beyond deliveries: the
+    identifier streams, each RNG's draw count and next draws, the clock,
+    the fault state and (under a sink) the telemetry counters.
 
     The ``sim.batch*`` counters (batches, client sends, control
     segments resolved without a packet) describe the batched plane's
     own paths, so only it emits them."""
-    counters = {
-        name: value
-        for name, value in tel.counters.items()
-        if not name.startswith("sim.batch")
-    }
+    counters = None
+    if tel.enabled:
+        counters = {
+            name: value
+            for name, value in tel.counters.items()
+            if not name.startswith("sim.batch")
+        }
     faults = sim._faults
     fault_state = None
     if faults is not None:
-        fault_state = (
-            [faults.rng.random() for _ in range(4)],
-            dataclasses.asdict(faults.counters),
-            sim.churn_epoch,
-            faults.packets_sent,
-            {
+        fault_state = {
+            "draws": faults.rng.draws,
+            "next": [faults.rng.random() for _ in range(4)],
+            "counters": dataclasses.asdict(faults.counters),
+            "epoch": sim.churn_epoch,
+            "packets_sent": faults.packets_sent,
+            "buckets": {
                 name: (bucket.tokens, bucket.stamp)
                 for name, bucket in sorted(faults._buckets.items())
             },
-        )
-    return (
-        repr(sim.net_context),
-        [sim._rng.random() for _ in range(4)],
-        sim.clock,
-        counters,
-        fault_state,
-    )
+        }
+    return {
+        "ids": repr(sim.net_context),
+        "draws": sim._rng.draws,
+        "next": [sim._rng.random() for _ in range(4)],
+        "clock": sim.clock,
+        "counters": counters,
+        "faults": fault_state,
+    }
+
+
+def run_engines(make_world, workload, plan=None):
+    """Run ``workload(sim, client, engine=...)`` on fresh worlds from
+    ``make_world()`` (a ``(sim, client)`` pair): the oracle and the
+    batched engine, each under a telemetry sink and under
+    ``NULL_TELEMETRY``, which the benchmark and the goldens run with.
+    All four runs must agree on the output and on every observation
+    but the counters, and the two runs under a sink on those too.
+
+    Returns the (shared) output and the observation under a sink, and
+    the batched run's telemetry counters."""
+    runs = {}
+    for sink in (True, False):
+        for use_engine in (False, True):
+            sim, client = make_world()
+            tel = Telemetry() if sink else NULL_TELEMETRY
+            sim.set_telemetry(tel)
+            if plan is not None:
+                sim.set_fault_plan(plan)
+            count_draws(sim)
+            engine = sim.batch_engine() if use_engine else ScalarEngine(sim)
+            out = workload(sim, client, engine=engine)
+            runs[sink, use_engine] = (out, observe(sim, tel), tel)
+    oracle_out, oracle_obs, _ = runs[True, False]
+    _, _, tel = runs[True, True]
+    for (sink, _), (out, obs, _) in runs.items():
+        assert out == oracle_out
+        if sink:
+            assert obs == oracle_obs
+        else:
+            assert obs == dict(oracle_obs, counters=None)
+    return oracle_out, oracle_obs, dict(tel.counters)
 
 
 def run_pair(builder, loss_rate, workload=tcp_workflow, plan=None):
-    """Run ``workload`` on the oracle then batched on fresh worlds;
-    compare.
+    """:func:`run_engines` on a world ``builder(loss_rate=...)`` that
+    returns a world with ``sim`` and ``client``."""
 
-    Returns the (shared) workload output and observation snapshot, and
-    the batched run's telemetry counters."""
-    results = []
-    for use_engine in (False, True):
+    def make_world():
         world = builder(loss_rate=loss_rate)
-        sim, client = world.sim, world.client
-        tel = Telemetry()
-        sim.set_telemetry(tel)
-        if plan is not None:
-            sim.set_fault_plan(plan)
-        engine = sim.batch_engine() if use_engine else ScalarEngine(sim)
-        out = workload(sim, client, engine=engine)
-        results.append((out, observe(sim, tel)))
-    (oracle_out, oracle_obs), (batch_out, batch_obs) = results
-    assert oracle_out == batch_out
-    assert oracle_obs == batch_obs
-    return oracle_out, oracle_obs, dict(tel.counters)
+        return world.sim, world.client
+
+    return run_engines(make_world, workload, plan=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -368,30 +432,13 @@ class TestSendParity:
         run_pair(WORLDS["silent"], 0.0)
 
     def test_multipath_parity(self):
-        results = []
-        for use_engine in (False, True):
-            sim, client, _ep = build_multipath_world(loss_rate=0.002)
-            tel = Telemetry()
-            sim.set_telemetry(tel)
-            engine = sim.batch_engine() if use_engine else ScalarEngine(sim)
-            out = tcp_workflow(sim, client, engine=engine)
-            results.append((out, observe(sim, tel)))
-        assert results[0] == results[1]
+        run_pair(multipath_world, 0.002)
 
     def test_multipath_churn_parity(self):
         # Churn re-hashes ECMP mid-workload: both engines must count the
         # send before picking its path, so flows switch paths together.
-        results = []
-        for use_engine in (False, True):
-            sim, client, _ep = build_multipath_world()
-            tel = Telemetry()
-            sim.set_telemetry(tel)
-            sim.set_fault_plan(PRESETS["churn"])
-            engine = sim.batch_engine() if use_engine else ScalarEngine(sim)
-            out = tcp_workflow(sim, client, engine=engine)
-            results.append((out, observe(sim, tel)))
-        assert results[0] == results[1]
-        assert results[0][1][-1][2] > 0  # the churn epoch really moved
+        _, observed, _ = run_pair(multipath_world, 0.0, plan=PRESETS["churn"])
+        assert observed["faults"]["epoch"] > 0  # the epoch really moved
 
     def test_rng_stream_identical_after_lossy_walks(self):
         # Beyond matching deliveries: the *entire* base draw stream must
@@ -416,14 +463,12 @@ def ladder_pair(builder, loss_rate, ttls=None, plan=None, **world_kw):
 
     if ttls is None:
         ttls = list(range(1, 12)) + [0, 64]
-    results = []
-    for use_engine in (False, True):
+
+    def make_world():
         sim, client, _ep = builder(loss_rate=loss_rate, **world_kw)
-        tel = Telemetry()
-        sim.set_telemetry(tel)
-        if plan is not None:
-            sim.set_fault_plan(plan)
-        engine = sim.batch_engine() if use_engine else ScalarEngine(sim)
+        return sim, client
+
+    def ladder(sim, client, engine):
         out = engine.run_udp_ladder(
             client.ip,
             ENDPOINT_IP,
@@ -431,9 +476,9 @@ def ladder_pair(builder, loss_rate, ttls=None, plan=None, **world_kw):
             ttls,
             lambda sport: query(OK_DOMAIN, txid=(sport * 7919) & 0xFFFF).to_bytes(),
         )
-        flat = [[p.to_bytes() for p in probe] for probe in out]
-        results.append((flat, observe(sim, tel)))
-    assert results[0] == results[1]
+        return [[p.to_bytes() for p in probe] for probe in out]
+
+    run_engines(make_world, ladder, plan=plan)
 
 
 class TestLadderParity:
@@ -496,22 +541,17 @@ class TestFallback:
     def test_fault_plan_outcomes_match_direct_scalar(self, preset):
         # The batched walk must not change behaviour: engine.send under
         # a plan == the oracle's send under the same plan.
-        results = []
-        for use_engine in (False, True):
-            world = world_device()
-            sim = world.sim
-            tel = Telemetry()
-            sim.set_telemetry(tel)
-            sim.set_fault_plan(PRESETS[preset])
-            engine = sim.batch_engine() if use_engine else ScalarEngine(sim)
-            out = tcp_workflow(sim, world.client, engine=engine, n=8)
-            results.append((out, observe(sim, tel)))
-        assert results[0] == results[1]
+        run_pair(
+            world_device,
+            0.0,
+            workload=functools.partial(tcp_workflow, n=8),
+            plan=PRESETS[preset],
+        )
 
     def test_mixed_fault_plan_parity(self):
         _, observed, _ = run_pair(world_device, 0.0, plan=MIXED_PLAN)
         # The workload really exercised every fault the plan declares.
-        fault_counters = observed[-1][1]
+        fault_counters = observed["faults"]["counters"]
         for name in ("packets_lost", "icmp_suppressed", "fail_open", "fail_closed"):
             assert fault_counters[name] > 0, name
 
@@ -663,7 +703,7 @@ class TestControlSegments:
             workload=functools.partial(handshake_workflow, port=CLOSED_PORT),
         )
         assert not any(out)  # RST|ACK refuses every handshake
-        assert observed[3]["sim.deliveries"] > 0
+        assert observed["counters"]["sim.deliveries"] > 0
         assert all_resolved(counters)
 
     @pytest.mark.parametrize("mode", [RESIDUAL_HOSTS, RESIDUAL_3TUPLE])
@@ -688,9 +728,27 @@ class TestControlSegments:
         _, observed, counters = run_pair(
             world_device, 0.0, workload=handshake_workflow, plan=MIXED_PLAN
         )
-        fault_counters = observed[-1][1]
+        fault_counters = observed["faults"]["counters"]
         for name in ("packets_lost", "fail_open", "fail_closed"):
             assert fault_counters[name] > 0, name
+        assert all_resolved(counters)
+
+    def test_uniform_loss_under_flaky_plan(self):
+        # No loss profile: loss draws come from the base RNG and fates
+        # from the fault RNG, interleaved in one lottery.
+        plan = FaultPlan(
+            name="flaky-both-ways",
+            flaky_devices=FlakyDeviceProfile(
+                fail_open_rate=0.15, fail_closed_rate=0.15
+            ),
+        )
+        _, observed, counters = run_pair(
+            world_device, 0.2, workload=handshake_workflow, plan=plan
+        )
+        fault_counters = observed["faults"]["counters"]
+        for name in ("fail_open", "fail_closed"):
+            assert fault_counters[name] > 0, name
+        assert counters["sim.packets_lost"] > 0
         assert all_resolved(counters)
 
     def test_duplicate_preset_duplicates_syn_ack(self):
@@ -701,7 +759,7 @@ class TestControlSegments:
             workload=functools.partial(handshake_workflow, n=60, close=False),
             plan=PRESETS["duplicate"],
         )
-        assert observed[-1][1]["duplicated"] > 0
+        assert observed["faults"]["counters"]["duplicated"] > 0
         assert all_resolved(counters)
 
     def test_churn_epoch_between_syn_and_fin(self):
@@ -819,14 +877,9 @@ class TestFullParityGrid:
 
     @pytest.mark.parametrize("preset", ["light", "lossy", "ratelimit", "flaky", "chaos"])
     def test_fallback_grid(self, preset):
-        results = []
-        for use_engine in (False, True):
-            world = world_device()
-            sim = world.sim
-            tel = Telemetry()
-            sim.set_telemetry(tel)
-            sim.set_fault_plan(PRESETS[preset])
-            engine = sim.batch_engine() if use_engine else ScalarEngine(sim)
-            out = tcp_workflow(sim, world.client, engine=engine, n=16)
-            results.append((out, observe(sim, tel)))
-        assert results[0] == results[1]
+        run_pair(
+            world_device,
+            0.0,
+            workload=functools.partial(tcp_workflow, n=16),
+            plan=PRESETS[preset],
+        )
