@@ -18,7 +18,7 @@ its reports and the §7 clustering consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ...devices.personality import (  # noqa: F401  (re-exported API)
     CISCO_IOS,
@@ -100,9 +100,6 @@ class OSProber:
         }[personality.ip_id_pattern]
         features["OSDFBit"] = float(personality.df_bit)
         return result
-
-    def probe_many(self, ips) -> List[OSProbeResult]:
-        return [self.probe(ip) for ip in ips]
 
 
 OS_FEATURE_NAMES = (

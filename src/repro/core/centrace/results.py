@@ -46,10 +46,6 @@ class ResponseSummary:
     tcp_window: int = 0
     tcp_options: Tuple[int, ...] = ()
 
-    @property
-    def is_icmp_ttl_exceeded(self) -> bool:
-        return self.kind == "icmp"
-
 
 @dataclass(slots=True)
 class ProbeObservation:
@@ -67,9 +63,6 @@ class ProbeObservation:
 
     def icmp_responses(self) -> List[ResponseSummary]:
         return [r for r in self.responses if r.kind == "icmp"]
-
-    def tcp_responses(self) -> List[ResponseSummary]:
-        return [r for r in self.responses if r.kind == "tcp"]
 
 
 @dataclass

@@ -231,11 +231,6 @@ class XvalReport:
             return 0.0
         return sum(r.interval_width for r in rows) / len(rows)
 
-    def agreement_rate(self, method_a: str, method_b: str) -> float:
-        key = "|".join(sorted((method_a, method_b)))
-        agreeing, comparable = self.agreement.get(key, (0, 0))
-        return agreeing / comparable if comparable else 0.0
-
     def to_dict(self) -> Dict:
         return {
             "seed": self.seed,

@@ -184,10 +184,6 @@ class IPHeader:
             setattr(new, name, value)
         return new
 
-    def verify_checksum(self, raw: bytes) -> bool:
-        """Check that the checksum in serialized ``raw`` header verifies."""
-        return checksum16(raw[: self.HEADER_LEN]) == 0
-
 
 @dataclass(slots=True)
 class FlowKey:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 RECORD_TYPE_HANDSHAKE = 22
@@ -112,10 +112,6 @@ def supported_versions_extension(versions: List[int]) -> Extension:
     return Extension(EXT_SUPPORTED_VERSIONS, body)
 
 
-def padding_extension(length: int) -> Extension:
-    return Extension(EXT_PADDING, b"\x00" * length)
-
-
 @dataclass
 class ClientHello:
     """A structural TLS ClientHello.
@@ -184,9 +180,6 @@ class ClientHello:
             + handshake
         )
         return record
-
-    def copy(self, **changes) -> "ClientHello":
-        return replace(self, **changes)
 
     @classmethod
     def normal(cls, server_name: str) -> "ClientHello":

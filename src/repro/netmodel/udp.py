@@ -9,7 +9,7 @@ DNS is its only consumer here.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .ip import checksum16, ip_to_int
 
@@ -54,6 +54,3 @@ class UDPDatagram:
             payload=data[cls.HEADER_LEN : length],
             checksum=csum,
         )
-
-    def copy(self, **changes) -> "UDPDatagram":
-        return replace(self, **changes)

@@ -10,49 +10,51 @@ the path hop by hop:
   device attachment points, header-rewrite sites, the terminal hop —
   so a walk only has to visit its *event* hops (devices, TTL expiry,
   the endpoint) and can resolve everything between them arithmetically.
-* :meth:`BatchEngine.send` walks one client packet on its plan.
-  Uniform loss draws are taken from the simulator's RNG in tight
-  in-order loops between event hops, one draw per link crossed. A
-  reverse walk under uniform loss is one *lottery*: a plain ``for``
-  loop of draws that stops at the first loss, as long as the TTL fixes
-  — every link when the TTL exceeds the routers crossed (every TTL-64
-  reply: endpoint replies, ICMP errors, control replies), else up to
-  the router that expires it. Full
-  :class:`~repro.netmodel.packet.Packet` clones are materialized
+* Its :class:`WalkSchedule` lists, in walk order, every loss draw and
+  flaky-device fate any walk on the plan can take under the fault plan
+  (or none) and uniform loss rate in force, then the reverse walk's
+  loss draws: which RNG, which threshold. It is compiled when a send
+  first meets a new configuration. :meth:`BatchEngine._lottery`, one
+  plain ``for`` loop over a slice of it that stops at the first loss,
+  takes every such draw there is; each walk runs the slice its kind
+  and TTL fix.
+* :meth:`BatchEngine.send` walks one client packet on its plan. Its
+  lottery stops at each device the packet reaches (after the device's
+  fate, if it rolls one) for the inspection, and resumes after it.
+  Full :class:`~repro.netmodel.packet.Packet` clones are materialized
   lazily — only when a router's header rewrite (or the arrival TTL)
   makes the in-flight packet differ from the caller's. Devices inspect
   the caller's packet itself unless a rewrite precedes them
   (:meth:`~repro.netsim.interfaces.LinkDevice.inspect` is read-only).
-  A device's forgeries walk the same plan: toward the client through
-  the reverse walk, toward the server through :meth:`_walk_injected`.
+  Every packet back to the client — endpoint replies, ICMP errors,
+  control replies, forgeries — takes the reverse lottery: every link
+  when the TTL exceeds the routers crossed, else up to the router that
+  expires it. A device's forgeries toward the server take the loss
+  draws of the links after the device's own (:meth:`_walk_injected`).
 * :meth:`BatchEngine.connect` and :meth:`BatchEngine.close` carry a
   TCP connection's payload-less control segments — the SYN, the
   handshake ACK and the FIN that every CenTrace probe's fresh
   connection costs — without a packet at all. Each segment allocates
   its IP ID, asks every device it reaches (the plan's flat
   ``control_devices`` span) whether it passes the flow untouched
-  (:meth:`~repro.netsim.interfaces.LinkDevice.passes_control`), draws
-  its forward walk as one lottery (with no fault plan, ``last_hop + 1``
-  uniform loss draws; under one, the plan's :class:`ControlSchedule`:
-  every loss draw and flaky-device fate the walk takes, in order,
-  compiled once per fault configuration), meets the endpoint's TCP
-  transition, and draws the reply's IP ID and reverse walk; only the
-  reply's flags and sequence number come back.
-  A segment some device may act on (a residually punished tuple) is
-  built and walked by the per-send path instead.
+  (:meth:`~repro.netsim.interfaces.LinkDevice.passes_control`), runs
+  its forward lottery straight through to the plan's
+  ``control_terminal``, meets the endpoint's TCP transition, and draws
+  the reply's IP ID and reverse lottery; only the reply's flags and
+  sequence number come back. A segment some device may act on (a
+  residually punished tuple) is built and walked by the per-send path
+  instead.
 
-Fault plans run on the same compiled plans: per-link loss profiles
-draw from the fault RNG against per-hop rates cached on the plan (a
-reverse walk under one is a lottery too, over the rates in reverse-walk
-order), flaky-device fates are rolled before each inspection,
-token-bucket ICMP suppression is checked on expiry, and path churn and
-delivery shaping wrap each send, control segments included. Every walk
-reproduces the reference semantics of the scalar transit walk kept
-with the tests (``tests/oracle``) exactly — deliveries, the RNG draw
-streams, identifier streams, the clock and telemetry — which the
-parity suites check. ``sim.batch_fast_path`` counts client sends,
-``sim.batch_control_resolved`` the control segments that never became
-packets, and a ``sim.batch`` event records each logical batch's size.
+Fault plans run on the same compiled plans: loss profiles and flaky
+devices through the schedule, token-bucket ICMP suppression on expiry,
+and path churn and delivery shaping around each send, control segments
+included. Every walk reproduces the reference semantics of the scalar
+transit walk kept with the tests (``tests/oracle``) exactly —
+deliveries, the RNG draw streams, identifier streams, the clock and
+telemetry — which the parity suites check. ``sim.batch_fast_path``
+counts client sends, ``sim.batch_control_resolved`` the control
+segments that never became packets, and a ``sim.batch`` event records
+each logical batch's size.
 
 Like every allocator-adjacent module, this file must hold **no**
 module-level state (lintkit RP503 enforces it): plans are cached on the
@@ -90,7 +92,7 @@ from ..telemetry_registry import (
     SIM_PACKETS_LOST,
     SIM_REVERSE_TTL_EXPIRED,
 )
-from .faults import FATE_FAIL_CLOSED, FATE_FAIL_OPEN, FaultPlan, LossProfile
+from .faults import FaultState
 from .interfaces import DIRECTION_FORWARD, InspectionContext, LinkDevice, Verdict
 from .routing import Path
 from .simulator import Simulator
@@ -129,8 +131,8 @@ class PathPlan:
 
     Plans are pure functions of the path and topology (no per-unit
     state), so they survive ``Simulator.reset`` and are cached on the
-    engine keyed by path identity. The loss rates a fault plan's
-    profile assigns to the path's links are cached on the plan too.
+    engine keyed by path identity. The :class:`WalkSchedule` of the
+    fault configuration last walked is cached on the plan too.
     """
 
     __slots__ = (
@@ -147,9 +149,7 @@ class PathPlan:
         "nodes",
         "control_terminal",
         "control_devices",
-        "control_schedule",
-        "_loss_profile",
-        "_loss_rates",
+        "schedule",
     )
 
     def __init__(self, path: Path, topology) -> None:
@@ -212,9 +212,7 @@ class PathPlan:
             if index <= control_last
             for device in devices
         )
-        self.control_schedule: Optional[ControlSchedule] = None
-        self._loss_profile: Optional[LossProfile] = None
-        self._loss_rates: Tuple[Tuple[float, ...], Tuple[float, ...]] = ((), ())
+        self.schedule: Optional[WalkSchedule] = None
 
     def terminal_for(self, ttl: int) -> Tuple[str, int, Optional[Router]]:
         """``(terminal kind, last hop, expiring router)`` of a forward
@@ -234,114 +232,102 @@ class PathPlan:
             return kind, self.terminal_index, None
         return _TIMEOUT, self.n_hops - 1, None
 
-    def loss_rates(
-        self, profile: LossProfile
-    ) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-        """``profile``'s rate for the link leading to each hop, and the
-        same rates in reverse-walk order followed by the client link's
-        rate — cached for the last profile seen.
 
-        The fault-plan walks index these tuples instead of resolving
-        ``LossProfile.rate_for`` link by link. A reverse walk from hop
-        ``s`` rolls ``reverse[n_hops - s:]``, in order.
-        """
-        if self._loss_profile is not profile:
-            rates = tuple(profile.rate_for(node) for node in self.nodes)
-            reverse = rates[::-1] + (profile.rate_for(None),)
-            self._loss_rates = (rates, reverse)
-            self._loss_profile = profile
-        return self._loss_rates
+# What a lottery does at a device step.
+_SKIP = 0  # forgeries and reverse walks: no fate, no inspection
+_PASS = 1  # control segments: roll the fate, the device passes the flow
+_INSPECT = 2  # data segments: roll the fate, stop for the inspection
 
 
-class ControlSchedule:
-    """Every draw a TTL-64 control segment takes on one plan under one
-    fault plan and uniform loss rate, in walk order, up to the plan's
-    ``control_terminal``.
+class WalkSchedule:
+    """Every loss draw and fate roll a walk on one plan can take, under
+    one fault state (the simulator's, or None) and uniform loss rate, in
+    walk order.
 
-    A step is a loss draw for a link with a positive rate — from the
-    fault RNG at a loss profile's rate, else from the base RNG at the
-    uniform rate — or a fate roll from the fault RNG for a device the
-    flaky profile applies to. ``thresholds[i]`` is what a step's draw
-    must fall below for anything to happen: the loss rate, or the sum
-    of the fail-open and fail-closed rates. ``devices[i]`` is the
-    rolled device, None for a loss step. A lottery stops at the first
-    loss or at a fail-closed fate on an in-path device, and the
-    telemetry of the walk follows from where it stopped:
-    ``links_at[i]`` links were rolled and ``reached_at[i]`` devices
-    reached (the rolled device included) when it stops at step ``i``;
-    ``links`` and ``reached`` when it runs through.
+    Links are numbered in walk order: forward link ``j`` leads to hop
+    ``j``; then the reverse walk's links, from the one leading back to
+    hop ``n_hops - 1`` (link ``n_hops``) to the client link (link
+    ``2 * n_hops``). A reverse walk from hop ``s`` starts at link
+    ``2 * n_hops - s``.
+
+    ``steps`` holds each link's steps as ``(threshold, device, index)``
+    triples:
+
+    * a loss step, for a link with a positive rate: no device, and the
+      rate as threshold — a loss profile's rate, drawn from the fault
+      RNG, else the uniform rate, drawn from the base RNG (``profiled``
+      says which; the RNG itself is looked up per walk, because a reset
+      or a new fault plan replaces it);
+    * then a device step for each device on a forward link: the fate
+      roll's threshold (the sum of the flaky profile's fail-open and
+      fail-closed rates, drawn from the fault RNG), or None when the
+      device rolls no fate.
+
+    ``step_at[j]`` is the index of link ``j``'s first step (so a walk
+    over links ``a .. b-1`` runs ``steps[step_at[a]:step_at[b]]``),
+    ``link_of[i]`` the link of step ``i`` and ``reached[i]`` the number
+    of device steps before step ``i``.
     """
 
     __slots__ = (
-        "fault_plan",
+        "faults",
         "loss_rate",
         "profiled",
         "flaky",
         "fail_open_rate",
-        "fault_rng",
-        "fault_draws",
-        "thresholds",
-        "devices",
-        "links_at",
-        "reached_at",
-        "links",
+        "steps",
+        "step_at",
+        "link_of",
         "reached",
     )
 
     def __init__(
         self,
         plan: PathPlan,
-        fault_plan: FaultPlan,
+        faults: Optional[FaultState],
         loss_rate: float,
     ) -> None:
-        self.fault_plan = fault_plan
+        self.faults = faults
         self.loss_rate = loss_rate
-        loss = fault_plan.loss
-        flaky = fault_plan.flaky_devices
+        loss = flaky = None
+        if faults is not None:
+            loss, flaky = faults.plan.loss, faults.plan.flaky_devices
         self.profiled = loss is not None
         self.flaky = flaky is not None
         self.fail_open_rate = flaky.fail_open_rate if flaky is not None else 0.0
-        last_hop = plan.control_terminal[1]
         if loss is not None:
             # The profile replaces the uniform rate wholesale.
-            rates = plan.loss_rates(loss)[0]
+            rates = [loss.rate_for(node) for node in plan.nodes]
+            client_rate = loss.rate_for(None)
         else:
-            rates = (loss_rate,) * (last_hop + 1)
+            rates = [loss_rate] * plan.n_hops
+            client_rate = loss_rate
         devices_at = dict(plan.device_hops)
-        thresholds: List[float] = []
-        devices: List[Optional[LinkDevice]] = []
-        links_at: List[int] = []
-        reached_at: List[int] = []
-        fault_draws: List[bool] = []
-        reached = 0
-        for link in range(last_hop + 1):
-            if rates[link] > 0.0:
-                thresholds.append(rates[link])
-                devices.append(None)
-                links_at.append(link + 1)
-                reached_at.append(reached)
-                fault_draws.append(loss is not None)
-            for device in devices_at.get(link, ()):
-                reached += 1
+        links = [(rate, devices_at.get(j, ())) for j, rate in enumerate(rates)]
+        links += [(rate, ()) for rate in reversed(rates)]
+        links.append((client_rate, ()))
+        steps: List[Tuple[Optional[float], Optional[LinkDevice], int]] = []
+        step_at: List[int] = []
+        link_of: List[int] = []
+        reached = [0]
+        for link, (rate, devices) in enumerate(links):
+            step_at.append(len(steps))
+            if rate > 0.0:
+                steps.append((rate, None, len(steps)))
+                link_of.append(link)
+                reached.append(reached[-1])
+            for device in devices:
+                fate = None
                 if flaky is not None and flaky.applies_to(device):
-                    thresholds.append(
-                        flaky.fail_open_rate + flaky.fail_closed_rate
-                    )
-                    devices.append(device)
-                    links_at.append(link + 1)
-                    reached_at.append(reached)
-                    fault_draws.append(True)
-        self.thresholds = tuple(thresholds)
-        self.devices = tuple(devices)
-        self.links_at = tuple(links_at)
-        self.reached_at = tuple(reached_at)
-        self.links = last_hop + 1
-        self.reached = reached
-        # Uniform loss under a flaky profile interleaves the two RNGs;
-        # otherwise one of them serves every step.
-        self.fault_rng = all(fault_draws)
-        mixed = any(fault_draws) and not all(fault_draws)
-        self.fault_draws = tuple(fault_draws) if mixed else None
+                    fate = flaky.fail_open_rate + flaky.fail_closed_rate
+                steps.append((fate, device, len(steps)))
+                link_of.append(link)
+                reached.append(reached[-1] + 1)
+        step_at.append(len(steps))
+        self.steps = tuple(steps)
+        self.step_at = tuple(step_at)
+        self.link_of = tuple(link_of)
+        self.reached = tuple(reached)
 
 
 class BatchEngine:
@@ -471,19 +457,28 @@ class BatchEngine:
             faults.note_client_packet(sim.clock)
         entry = self._routes.get((src, dst))
         route, plan = entry if entry is not None else self._route_for(src, dst)
-        if plan is not None:
-            return plan
-        if flow is None:
-            # TCP hashes its real 5-tuple, everything else a
-            # degenerate per-pair key.
-            flow = (
-                packet.flow_key()
-                if packet.tcp is not None
-                else FlowKey(src, dst, 0, 0, 1)
-            )
-        # Churn moves the ECMP hash seed (Simulator.current_path_seed).
-        seed = sim.seed if faults is None else faults.path_seed(sim.seed)
-        return self.plan_for(route.select(flow, seed=seed))
+        if plan is None:
+            if flow is None:
+                # TCP hashes its real 5-tuple, everything else a
+                # degenerate per-pair key.
+                flow = (
+                    packet.flow_key()
+                    if packet.tcp is not None
+                    else FlowKey(src, dst, 0, 0, 1)
+                )
+            # Churn moves the ECMP hash seed (Simulator.current_path_seed).
+            seed = sim.seed if faults is None else faults.path_seed(sim.seed)
+            plan = self.plan_for(route.select(flow, seed=seed))
+        # Every walk of this send runs the plan's schedule: recompile it
+        # if the fault plan or the uniform loss rate changed since.
+        schedule = plan.schedule
+        if (
+            schedule is None
+            or schedule.faults is not faults
+            or schedule.loss_rate != sim.loss_rate
+        ):
+            plan.schedule = WalkSchedule(plan, faults, sim.loss_rate)
+        return plan
 
     def _leave(self, deliveries: List[Packet]) -> List[Packet]:
         """Finish one client send: shape its deliveries, count it."""
@@ -497,38 +492,6 @@ class BatchEngine:
                 tel.count(SIM_DELIVERIES, len(deliveries))
         return deliveries
 
-    def _forward_lost(
-        self, rates: Optional[Tuple[float, ...]], start: int, stop: int
-    ) -> bool:
-        """Loss on the links leading to hops ``start .. stop-1``.
-
-        One draw per link in walk order: from the fault RNG at a loss
-        profile's per-hop ``rates`` (every link rolled counts one
-        ``sim.fault_loss_rolls``, and only a positive rate draws), else
-        from the base RNG at the uniform rate.
-        """
-        sim = self.sim
-        tel = sim.telemetry
-        if rates is None:
-            rate = sim.loss_rate
-            if rate > 0:
-                rnd = sim._rng.random
-                for _ in range(start, stop):
-                    if rnd() < rate:
-                        if tel.enabled:
-                            tel.count(SIM_PACKETS_LOST)
-                        return True
-            return False
-        rnd = sim._faults.rng.random
-        for j in range(start, stop):
-            rate = rates[j]
-            if rate > 0.0 and rnd() < rate:
-                self._fault_lost(j + 1 - start)
-                return True
-        if tel.enabled and stop > start:
-            tel.count(SIM_FAULT_LOSS_ROLLS, stop - start)
-        return False
-
     def _walk_forward(
         self,
         plan: PathPlan,
@@ -539,31 +502,21 @@ class BatchEngine:
         sim = self.sim
         tel = sim.telemetry
         tel_on = tel.enabled
-        rates, flaky = self._fault_walk(plan)
-        # Uniform loss is drawn in place; a profile's through _forward_lost.
-        rate = sim.loss_rate if rates is None else 0.0
-        rnd = sim._rng.random
-        faults = sim._faults
         start_ttl = packet.ip.ttl
         client_ip = packet.ip.src
         terminal, last_hop, terminal_router = plan.terminal_for(start_ttl)
         walk_pkt: Optional[Packet] = None
         rewrite_pos = 0
-        cursor = 0  # next link index still owing a loss draw
-        for dev_hop, devices in plan.device_hops:
-            if dev_hop > last_hop:
-                break
-            if rates is not None:
-                if self._forward_lost(rates, cursor, dev_hop + 1):
-                    return
-                cursor = dev_hop + 1
-            elif rate > 0:
-                for _ in range(cursor, dev_hop + 1):
-                    if rnd() < rate:
-                        if tel_on:
-                            tel.count(SIM_PACKETS_LOST)
-                        return
-                cursor = dev_hop + 1
+        end = last_hop + 1
+        step = self._lottery(plan, 0, end, _INSPECT)
+        schedule = plan.schedule
+        stop = schedule.step_at[end]
+        while step != stop:
+            if step < 0:
+                return
+            # Stopped at a device that did not fail open: inspect.
+            device = schedule.steps[step][1]
+            dev_hop = schedule.link_of[step]
             if walk_pkt is None and (
                 plan.rewrites and plan.rewrites[0][0] < dev_hop
             ):
@@ -579,41 +532,25 @@ class BatchEngine:
                 inspected = walk_pkt
             else:
                 inspected = packet
-            remaining = start_ttl - plan.routers_before[dev_hop]
-            for device in devices:
-                if flaky:
-                    if tel_on:
-                        tel.count(SIM_FAULT_DEVICE_ROLLS)
-                    fate = faults.device_fate(device)
-                    if fate == FATE_FAIL_OPEN:
-                        continue
-                    if fate == FATE_FAIL_CLOSED and device.in_path:
-                        return
-                ctx = InspectionContext(
-                    sim.clock, remaining, dev_hop, DIRECTION_FORWARD, sim.net_context
-                )
-                verdict = device.inspect(inspected, ctx)
+            ctx = InspectionContext(
+                sim.clock,
+                start_ttl - plan.routers_before[dev_hop],
+                dev_hop,
+                DIRECTION_FORWARD,
+                sim.net_context,
+            )
+            verdict = device.inspect(inspected, ctx)
+            if tel_on:
+                tel.count(SIM_DEVICE_INSPECTIONS)
+                if verdict.acted:
+                    tel.count(SIM_DEVICE_ACTIONS)
+            if verdict.inject_to_client or verdict.inject_to_server:
+                self._dispatch_injections(verdict, plan, dev_hop, deliveries)
+            if verdict.drop and device.in_path:
                 if tel_on:
-                    tel.count(SIM_DEVICE_INSPECTIONS)
-                    if verdict.acted:
-                        tel.count(SIM_DEVICE_ACTIONS)
-                if verdict.inject_to_client or verdict.inject_to_server:
-                    self._dispatch_injections(
-                        verdict, plan, dev_hop, deliveries
-                    )
-                if verdict.drop and device.in_path:
-                    if tel_on:
-                        tel.count(SIM_DEVICE_DROPS)
-                    return
-        if rates is not None:
-            if self._forward_lost(rates, cursor, last_hop + 1):
+                    tel.count(SIM_DEVICE_DROPS)
                 return
-        elif rate > 0:
-            for _ in range(cursor, last_hop + 1):
-                if rnd() < rate:
-                    if tel_on:
-                        tel.count(SIM_PACKETS_LOST)
-                    return
+            step = self._lottery(plan, dev_hop + 1, end, _INSPECT, step + 1)
         if terminal is _EXPIRE:
             self._expire(
                 plan,
@@ -633,20 +570,94 @@ class BatchEngine:
             )
         # _SINK / _TIMEOUT: the walk ends without an observable event.
 
-    def _fault_walk(
-        self, plan: PathPlan
-    ) -> Tuple[Optional[Tuple[float, ...]], bool]:
-        """A forward walk's fault setup: the loss profile's per-hop
-        rates on ``plan`` (None: the uniform rate applies), and whether
-        devices roll flaky fates."""
-        faults = self.sim._faults
-        if faults is None:
-            return None, False
-        rates = None
-        if faults.per_link_loss:
-            # The profile replaces the uniform rate wholesale.
-            rates = plan.loss_rates(faults.plan.loss)[0]
-        return rates, faults.plan.flaky_devices is not None
+    def _lottery(
+        self,
+        plan: PathPlan,
+        first: int,
+        end: int,
+        mode: int,
+        start: Optional[int] = None,
+    ) -> int:
+        """Walk links ``first .. end-1`` of ``plan``'s schedule (see
+        :class:`WalkSchedule`), from step ``start`` when a data segment
+        resumes after a device: every loss draw and fate roll any walk
+        takes is taken here, in order.
+
+        A loss ends the walk. ``mode`` says what a device step does:
+        nothing (``_SKIP``: forgeries and reverse walks), or roll its
+        fate and then pass the flow (``_PASS``: control segments) or
+        stop so that the caller inspects (``_INSPECT``: data segments).
+        A device that fails open is passed over; a fail-closed fate ends
+        the walk at an in-path device, and lets any other inspect.
+        Returns -1 when the walk ended, the index of the device step it
+        stopped at, or ``step_at[end]`` when it ran through.
+
+        :meth:`_enter` recompiled the schedule if the fault state or the
+        uniform loss rate changed. The fault counters move as the draws
+        fall; the telemetry follows from where the lottery
+        stopped: the links rolled (under a loss profile, zero-rate links
+        included), the devices reached (under a flaky profile, those the
+        profile skips included) and, for a control segment, the devices
+        inspected.
+        """
+        sim = self.sim
+        faults = sim._faults
+        schedule = plan.schedule
+        step_at = schedule.step_at
+        stop = step_at[end]
+        if start is None:
+            start = step_at[first]
+        rnd = (faults.rng if schedule.profiled else sim._rng).random
+        ended = False
+        opened = 0
+        for threshold, device, step in schedule.steps[start:stop]:
+            if device is None:
+                if rnd() < threshold:
+                    ended = True
+                    break
+            elif mode:
+                if threshold is not None:
+                    roll = faults.rng.random()
+                    if roll < threshold:
+                        if roll < schedule.fail_open_rate:
+                            faults.counters.fail_open += 1
+                            opened += 1
+                            continue
+                        faults.counters.fail_closed += 1
+                        if device.in_path:
+                            ended = True
+                            break
+                if mode == _INSPECT:
+                    break
+        else:
+            step = stop
+        tel = sim.telemetry
+        if not (ended or tel.enabled):
+            return step
+        lost = ended and device is None
+        if lost and schedule.profiled:
+            faults.counters.packets_lost += 1
+        if tel.enabled:
+            if step == stop:
+                links = end - first
+                upto = stop
+            else:
+                links = schedule.link_of[step] + 1 - first
+                upto = step if device is None else step + 1
+            if schedule.profiled and links:
+                tel.count(SIM_FAULT_LOSS_ROLLS, links)
+            if lost:
+                tel.count(SIM_PACKETS_LOST)
+            if mode:
+                reached = schedule.reached[upto] - schedule.reached[start]
+                if schedule.flaky and reached:
+                    tel.count(SIM_FAULT_DEVICE_ROLLS, reached)
+                # A device that failed open, or closed and ended the
+                # walk, was not inspected.
+                inspected = reached - opened - (ended and not lost)
+                if mode == _PASS and inspected:
+                    tel.count(SIM_DEVICE_INSPECTIONS, inspected)
+        return -1 if ended else step
 
     @staticmethod
     def _apply_rewrites(
@@ -788,65 +799,32 @@ class BatchEngine:
         """The arrival TTL of a packet sent with ``ttl`` from hop
         ``start_index`` back to the client; None when it dies en route.
 
-        The reverse walk: one loss draw per link
-        (hops ``start_index-1 .. 0`` plus the client link, in order),
-        TTL decrement at routers with silent expiry. It is one lottery
-        whose length the TTL fixes: all ``start_index + 1`` links when
-        the TTL exceeds the routers crossed (every TTL-64 reply), else
-        the links up to the router that expires it. Under a fault-plan
-        loss profile the draws come from the fault RNG at the plan's
-        cached per-link rates in reverse-walk order (a zero-rate link is
-        rolled without a draw), else from the base RNG at the uniform
-        rate. With no loss at all the whole walk reduces to one
-        subtraction against the plan's router counts.
+        The reverse walk: one loss roll per link (hops
+        ``start_index-1 .. 0`` plus the client link, in order), TTL
+        decrement at routers with silent expiry. Its lottery covers as
+        many links as the TTL lets it cross: all ``start_index + 1``
+        when the TTL exceeds the routers crossed (every TTL-64 reply),
+        else the links up to the router that expires it.
         """
-        sim = self.sim
-        tel = sim.telemetry
         crossed = plan.routers_before[start_index]
-        faults = sim._faults
-        profiled = faults is not None and faults.per_link_loss
-        rate = sim.loss_rate
-        if profiled or rate > 0:
-            if ttl > crossed:
-                draws = start_index + 1
-            else:
-                # The router at hop j expires it, the last hop with
-                # routers_before[j] == crossed - ttl, after the draws for
-                # links start_index-1 .. j.
-                draws = start_index + 1 - bisect_left(
-                    plan.routers_before, crossed - ttl + 1
-                )
-            if profiled:
-                first = plan.n_hops - start_index
-                rates = plan.loss_rates(faults.plan.loss)[1]
-                rnd = faults.rng.random
-                for rolls, rate in enumerate(rates[first : first + draws], 1):
-                    if rate > 0.0 and rnd() < rate:
-                        self._fault_lost(rolls)
-                        return None
-                if tel.enabled:
-                    tel.count(SIM_FAULT_LOSS_ROLLS, draws)
-            else:
-                rnd = sim._rng.random
-                for _ in range(draws):
-                    if rnd() < rate:
-                        if tel.enabled:
-                            tel.count(SIM_PACKETS_LOST)
-                        return None
+        if ttl > crossed:
+            links = start_index + 1
+        else:
+            # The router at hop j expires it, the last hop with
+            # routers_before[j] == crossed - ttl, after the rolls for
+            # links start_index-1 .. j.
+            links = start_index + 1 - bisect_left(
+                plan.routers_before, crossed - ttl + 1
+            )
+        first = 2 * plan.n_hops - start_index
+        if self._lottery(plan, first, first + links, _SKIP) < 0:
+            return None
         if ttl <= crossed:
+            tel = self.sim.telemetry
             if tel.enabled:
                 tel.count(SIM_REVERSE_TTL_EXPIRED)
             return None
         return ttl - crossed
-
-    def _fault_lost(self, rolls: int) -> None:
-        """Account a fault-plan loss after ``rolls`` links rolled."""
-        sim = self.sim
-        sim._faults.counters.packets_lost += 1
-        tel = sim.telemetry
-        if tel.enabled:
-            tel.count(SIM_FAULT_LOSS_ROLLS, rolls)
-            tel.count(SIM_PACKETS_LOST)
 
     def _dispatch_injections(
         self,
@@ -881,17 +859,15 @@ class BatchEngine:
         """Carry a device's forgery ``pkt`` toward the server from hop
         ``link_index``, the hop its link leads to.
 
-        The device's own link takes no loss draw; each later link takes
-        one, in order, from the base RNG or from the fault RNG at the
-        plan's per-link rates. Routers decrement the TTL and rewrite
+        The device's own link takes no loss draw; the later links take
+        the loss steps of the plan's schedule, in order, and no device
+        step. Routers decrement the TTL and rewrite
         headers; expiry is silent, since its ICMP error would go to the
         spoofed source. No device inspects a forgery, and the endpoint's
         TCP stack alone answers it (e.g. the RST for data on an unknown
         flow); the replies walk back to the client.
         """
         sim = self.sim
-        tel = sim.telemetry
-        rates, _ = self._fault_walk(plan)
         ttl = pkt.ip.ttl
         behind = plan.routers_before[link_index]
         ahead = plan.routers_reachable - behind
@@ -899,16 +875,17 @@ class BatchEngine:
             # Expires at the ttl-th router from link_index on (a TTL at
             # or below 0 at the first one).
             hop, _ = plan.router_hops[behind + max(ttl, 1) - 1]
-            if not self._forward_lost(rates, link_index + 1, hop + 1):
+            if self._lottery(plan, link_index + 1, hop + 1, _SKIP) >= 0:
+                tel = sim.telemetry
                 if tel.enabled:
                     tel.count(SIM_INJECTED_TTL_EXPIRED)
             return
         terminal = plan.terminal_index
         if terminal is None:
             # An all-router path the forgery outlives: it just ends.
-            self._forward_lost(rates, link_index + 1, plan.n_hops)
+            self._lottery(plan, link_index + 1, plan.n_hops, _SKIP)
             return
-        if self._forward_lost(rates, link_index + 1, terminal + 1):
+        if self._lottery(plan, link_index + 1, terminal + 1, _SKIP) < 0:
             return
         endpoint = plan.endpoint
         if endpoint is None:
@@ -996,11 +973,8 @@ class BatchEngine:
                 for p in self._leave(deliveries)
                 if p.tcp is not None
             ]
+        reached = self._lottery(plan, 0, last_hop + 1, _PASS) >= 0
         faults = sim._faults
-        if faults is None:
-            reached = self._control_lottery(plan, last_hop)
-        else:
-            reached = self._fault_lottery(plan)
         replies: List[Tuple[int, int]] = []
         if reached and terminal is _DELIVER:
             stack = sim._stack_for(plan.endpoint)
@@ -1022,112 +996,6 @@ class BatchEngine:
             if replies:
                 tel.count(SIM_DELIVERIES, len(replies))
         return replies
-
-    def _control_lottery(self, plan: PathPlan, last_hop: int) -> bool:
-        """The forward walk of a control segment that every device
-        passes, with no fault plan: one lottery of ``last_hop + 1``
-        uniform loss draws from the base RNG, exactly the draws of
-        :meth:`_walk_forward`. True when the segment reaches hop
-        ``last_hop``.
-
-        Nothing happens between the draws but device inspections, so
-        ``sim.device_inspections`` is counted afterwards, for the
-        devices before the link where the lottery stopped.
-        """
-        sim = self.sim
-        tel = sim.telemetry
-        stop = last_hop + 1
-        crossed = stop  # links crossed before the losing one
-        rate = sim.loss_rate
-        if rate > 0:
-            rnd = sim._rng.random
-            for link in range(stop):
-                if rnd() < rate:
-                    if tel.enabled:
-                        tel.count(SIM_PACKETS_LOST)
-                    crossed = link
-                    break
-        if tel.enabled and plan.control_devices:
-            inspected = 0
-            for dev_hop, devices in plan.device_hops:
-                if dev_hop >= crossed:
-                    break
-                inspected += len(devices)
-            if inspected:
-                tel.count(SIM_DEVICE_INSPECTIONS, inspected)
-        return crossed == stop
-
-    def _fault_lottery(self, plan: PathPlan) -> bool:
-        """:meth:`_control_lottery` under a fault plan: one lottery over
-        the plan's :class:`ControlSchedule` for the fault plan and the
-        uniform loss rate in force, exactly the draws of
-        :meth:`_walk_forward` in its order. True when the segment
-        reaches the plan's control terminal.
-
-        The walk's counters follow from the step where the lottery
-        stopped (and the fail-open fates it met on the way).
-        """
-        sim = self.sim
-        faults = sim._faults
-        schedule = plan.control_schedule
-        if (
-            schedule is None
-            or schedule.fault_plan is not faults.plan
-            or schedule.loss_rate != sim.loss_rate
-        ):
-            schedule = plan.control_schedule = ControlSchedule(
-                plan, faults.plan, sim.loss_rate
-            )
-        if schedule.fault_draws is None:
-            rnd = (faults.rng if schedule.fault_rng else sim._rng).random
-        else:
-            # Uniform loss under a flaky profile: each step's own RNG.
-            draws = iter(
-                [
-                    faults.rng.random if fault else sim._rng.random
-                    for fault in schedule.fault_draws
-                ]
-            )
-            rnd = lambda: next(draws)()
-        stopped = -1
-        opened = 0
-        for step, threshold in enumerate(schedule.thresholds):
-            roll = rnd()
-            if roll < threshold:
-                device = schedule.devices[step]
-                if device is None:
-                    stopped = step  # lost on this link
-                    break
-                if roll < schedule.fail_open_rate:
-                    faults.counters.fail_open += 1
-                    opened += 1
-                    continue
-                faults.counters.fail_closed += 1
-                if device.in_path:
-                    stopped = step
-                    break
-        lost = stopped >= 0 and schedule.devices[stopped] is None
-        if lost and schedule.profiled:
-            faults.counters.packets_lost += 1
-        tel = sim.telemetry
-        if tel.enabled:
-            if stopped < 0:
-                links, reached = schedule.links, schedule.reached
-            else:
-                links = schedule.links_at[stopped]
-                reached = schedule.reached_at[stopped]
-            if schedule.profiled:
-                tel.count(SIM_FAULT_LOSS_ROLLS, links)
-            if lost:
-                tel.count(SIM_PACKETS_LOST)
-            if schedule.flaky and reached:
-                tel.count(SIM_FAULT_DEVICE_ROLLS, reached)
-            # A device that failed open, or closed and ended the walk,
-            # was not inspected.
-            inspected = reached - opened - (stopped >= 0 and not lost)
-            if inspected:
-                tel.count(SIM_DEVICE_INSPECTIONS, inspected)
-        return stopped < 0
 
     # -- TTL ladders ----------------------------------------------------
 

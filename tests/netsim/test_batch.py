@@ -149,20 +149,26 @@ WORLDS = {
 }
 
 
-def build_multipath_world(loss_rate=0.0, seed=7):
-    """Two parallel 4-router paths so ECMP flow hashing matters."""
+def build_multipath_world(
+    loss_rate=0.0, seed=7, branches=(4, 4), device=None, device_at=None
+):
+    """Parallel paths of routers so ECMP flow hashing matters: two of 4
+    routers unless ``branches`` gives each path's length. ``device``
+    sits on the link to router ``i`` of path ``p`` when ``device_at``
+    is ``(p, i)``."""
     topology = Topology("test-multipath")
     client = topology.add_client(
         Client("client", CLIENT_IP, asn=64500, country="XX", in_country=True)
     )
     paths = []
-    for p in range(2):
+    for p, length in enumerate(branches):
         hops = []
-        for i in range(4):
+        for i in range(length):
             router = topology.add_router(
                 Router(f"p{p}r{i}", f"100.8{p}.{i}.1", asn=64501 + i)
             )
-            hops.append(Hop(router.name))
+            devices = [device] if device_at == (p, i) else []
+            hops.append(Hop(router.name, link_devices=devices))
         paths.append(hops)
     from repro.services.webserver import WebServer
 
@@ -226,6 +232,14 @@ MIXED_PLAN = FaultPlan(
         link_rates=(("r0", 0.0), ("endpoint", 0.1)),
     ),
     icmp_rate_limit=IcmpRateLimitProfile(capacity=1, refill_rate=0.01),
+    flaky_devices=FlakyDeviceProfile(fail_open_rate=0.15, fail_closed_rate=0.15),
+)
+
+#: Devices that fail both ways and no loss profile: loss draws come from
+#: the base RNG at the uniform rate and fates from the fault RNG, so the
+#: two streams interleave within one walk.
+FLAKY_PLAN = FaultPlan(
+    name="flaky-both-ways",
     flaky_devices=FlakyDeviceProfile(fail_open_rate=0.15, fail_closed_rate=0.15),
 )
 
@@ -733,23 +747,22 @@ class TestControlSegments:
             assert fault_counters[name] > 0, name
         assert all_resolved(counters)
 
-    def test_uniform_loss_under_flaky_plan(self):
+    @pytest.mark.parametrize(
+        "workload", [handshake_workflow, tcp_workflow], ids=["control", "data"]
+    )
+    def test_uniform_loss_under_flaky_plan(self, workload):
         # No loss profile: loss draws come from the base RNG and fates
-        # from the fault RNG, interleaved in one lottery.
-        plan = FaultPlan(
-            name="flaky-both-ways",
-            flaky_devices=FlakyDeviceProfile(
-                fail_open_rate=0.15, fail_closed_rate=0.15
-            ),
-        )
+        # from the fault RNG, interleaved in one walk (a data segment's
+        # between its stops at the device).
         _, observed, counters = run_pair(
-            world_device, 0.2, workload=handshake_workflow, plan=plan
+            world_device, 0.2, workload=workload, plan=FLAKY_PLAN
         )
         fault_counters = observed["faults"]["counters"]
         for name in ("fail_open", "fail_closed"):
             assert fault_counters[name] > 0, name
         assert counters["sim.packets_lost"] > 0
-        assert all_resolved(counters)
+        if workload is handshake_workflow:
+            assert all_resolved(counters)
 
     def test_duplicate_preset_duplicates_syn_ack(self):
         # No close(): SYN-ACKs are the only replies there are to shape.
@@ -805,6 +818,54 @@ class TestControlSegments:
 
 
 # ---------------------------------------------------------------------------
+# A walk's compiled schedule depends on the uniform loss rate and the
+# fault plan in force; changing either between sends must take effect.
+# ---------------------------------------------------------------------------
+
+
+def reconfigured_workflow(sim, client, engine=None):
+    """:func:`tcp_workflow` once per configuration of one simulator: the
+    uniform loss rate changes, the fault plan goes None -> MIXED_PLAN ->
+    FLAKY_PLAN -> None, and the simulator is reset once. Each run
+    reports its output and the draws each RNG took; the counting RNGs
+    are re-wrapped after every change, since a reset and a new fault
+    plan replace them."""
+    changes = [
+        lambda: None,
+        lambda: setattr(sim, "loss_rate", 0.2),
+        lambda: sim.set_fault_plan(MIXED_PLAN),
+        lambda: sim.set_fault_plan(FLAKY_PLAN),
+        lambda: setattr(sim, "loss_rate", 0.05),
+        sim.reset,
+        lambda: sim.set_fault_plan(None),
+    ]
+    out = []
+    for change in changes:
+        change()
+        count_draws(sim)
+        result = tcp_workflow(sim, client, engine=engine, n=9)
+        faults = sim._faults
+        out.append(
+            (
+                result,
+                sim._rng.draws,
+                faults.rng.draws if faults is not None else None,
+            )
+        )
+    return out
+
+
+class TestScheduleInvalidation:
+    def test_loss_rate_fault_plan_and_reset_changes(self):
+        out, _, _ = run_pair(world_device, 0.0, workload=reconfigured_workflow)
+        base_draws = [base for _, base, _ in out]
+        fault_draws = [fault for _, _, fault in out]
+        assert base_draws[0] == 0 and base_draws[1] > 0
+        assert fault_draws[:2] == [None, None] and fault_draws[-1] is None
+        assert all(draws > 0 for draws in fault_draws[2:-1])
+
+
+# ---------------------------------------------------------------------------
 # Device forgeries toward the server: the batched plane walks them on the
 # path plan from the device's hop to the endpoint's TCP stack.
 # ---------------------------------------------------------------------------
@@ -829,16 +890,27 @@ def forger_world(loss_rate=0.0, seed=7, rewrite_hop=4):
 
 
 class TestInjectedToServer:
-    @pytest.mark.parametrize("plan", [None, MIXED_PLAN], ids=["uniform", "mixed"])
+    @pytest.mark.parametrize(
+        "plan", [None, MIXED_PLAN, FLAKY_PLAN], ids=["uniform", "mixed", "flaky"]
+    )
     @pytest.mark.parametrize("loss", [0.0, 0.2])
     @pytest.mark.parametrize("rewrite_hop", [1, 4])
     def test_forgeries_expire_rewrite_and_draw_replies(
         self, rewrite_hop, loss, plan
     ):
         builder = functools.partial(forger_world, rewrite_hop=rewrite_hop)
-        out, _, counters = run_pair(builder, loss, plan=plan)
+        out, observed, counters = run_pair(builder, loss, plan=plan)
         assert counters[SIM_INJECTED_TO_SERVER] > 0
         assert counters[SIM_INJECTED_TTL_EXPIRED] > 0
+        if plan is FLAKY_PLAN:
+            # The forger's fates (it is not in-path, so failing closed
+            # still lets it forge) interleave with the uniform loss of
+            # the client's segments and of the forgeries.
+            fault_counters = observed["faults"]["counters"]
+            for name in ("fail_open", "fail_closed"):
+                assert fault_counters[name] > 0, name
+            if loss:
+                assert counters["sim.packets_lost"] > 0
         if loss == 0.0 and plan is None:
             # The endpoint's RST for the forged flow carries the IP
             # flags the forgery arrived with.
@@ -848,6 +920,21 @@ class TestInjectedToServer:
             ]
             expected = 0 if rewrite_hop > 2 else FLAG_DF
             assert rsts and all(p.ip.flags == expected for p in rsts)
+
+    def test_forgeries_pass_a_flaky_device_without_a_fate(self):
+        # A second, flaky device ahead of the forger: the client's
+        # segments roll its fate, the forgeries cross it without one.
+        def builder(loss_rate):
+            world = forger_world(loss_rate=loss_rate)
+            route = world.sim.topology.route_between(CLIENT_IP, ENDPOINT_IP)
+            route.paths[0].hops[4].link_devices.append(
+                make_profile_device(KZ_STATE)
+            )
+            return world
+
+        _, observed, counters = run_pair(builder, 0.2, plan=FLAKY_PLAN)
+        assert counters[SIM_INJECTED_TO_SERVER] > 0
+        assert observed["faults"]["counters"]["fail_open"] > 0
 
     def test_fortinet_rst_to_server(self):
         _, _, counters = run_pair(world_fortinet, 0.0)

@@ -4,6 +4,7 @@ parity over generated worlds and fault plans."""
 import functools
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,11 +30,12 @@ from repro.netsim.faults import (
     FlakyDeviceProfile,
     IcmpRateLimitProfile,
     LossProfile,
+    PathChurnProfile,
 )
 from repro.netsim.tcpstack import open_connection
 from repro.telemetry_registry import SIM_REVERSE_TTL_EXPIRED
 
-from .test_batch import run_pair, tcp_workflow
+from .test_batch import build_multipath_world, run_pair, tcp_workflow
 
 
 @st.composite
@@ -115,13 +117,12 @@ class TestForwardingInvariants:
 loss_rates = st.just(0.0) | st.floats(min_value=0.0, max_value=0.3)
 
 
-def fault_plans(n_routers):
-    """A fault plan for a linear world of ``n_routers``, as
-    ``MIXED_PLAN`` is built by hand: per-AS and per-link loss overrides
-    over a default rate, an ICMP token bucket, and devices that fail
-    open and closed — each part present or not."""
-    nodes = [f"r{i}" for i in range(n_routers)] + ["endpoint"]
-    asns = [64501 + i for i in range(n_routers)] + [64999]
+def fault_plans(nodes, asns, churn=st.none()):
+    """A fault plan for a world whose links lead to ``nodes``, in the
+    ASes ``asns``, as ``MIXED_PLAN`` is built by hand: per-AS and
+    per-link loss overrides over a default rate, an ICMP token bucket,
+    and devices that fail open and closed — each part present or not —
+    and the path churn ``churn`` draws."""
 
     def overrides(keys):
         return st.lists(
@@ -152,6 +153,7 @@ def fault_plans(n_routers):
         loss=st.none() | loss,
         icmp_rate_limit=st.none() | icmp,
         flaky_devices=st.none() | flaky,
+        churn=churn,
     )
 
 
@@ -168,6 +170,8 @@ def linear_worlds(draw):
     the way back, the reverse walk that still decrements hop by hop."""
     n_routers = draw(st.integers(min_value=2, max_value=8))
     hop = st.none() | st.integers(min_value=0, max_value=n_routers - 1)
+    nodes = [f"r{i}" for i in range(n_routers)] + ["endpoint"]
+    asns = [64501 + i for i in range(n_routers)] + [64999]
     return {
         "n_routers": n_routers,
         "device_link": draw(hop),
@@ -181,10 +185,25 @@ def linear_worlds(draw):
         ),
         "rst_to_server": draw(st.booleans()),
         "plan": draw(
-            st.sampled_from([None, *sorted(PRESETS)]) | fault_plans(n_routers)
+            st.sampled_from([None, *sorted(PRESETS)]) | fault_plans(nodes, asns)
         ),
         "seed": draw(st.integers(min_value=0, max_value=1000)),
     }
+
+
+def generated_device(params):
+    """The device ``params`` describes."""
+    return CensorshipDevice(
+        "generated",
+        blocklist=Blocklist.for_domains([BLOCKED_DOMAIN]),
+        action=BlockAction(
+            kind=params["action"],
+            signature=InjectionSignature(ttl_mode=params["ttl_mode"]),
+            rst_to_server=params["rst_to_server"],
+        ),
+        residual_mode=params["residual_mode"],
+        residual_duration=3.0,
+    )
 
 
 def generated_world(params):
@@ -193,17 +212,7 @@ def generated_world(params):
     def builder(loss_rate):
         device = None
         if params["device_link"] is not None:
-            device = CensorshipDevice(
-                "generated",
-                blocklist=Blocklist.for_domains([BLOCKED_DOMAIN]),
-                action=BlockAction(
-                    kind=params["action"],
-                    signature=InjectionSignature(ttl_mode=params["ttl_mode"]),
-                    rst_to_server=params["rst_to_server"],
-                ),
-                residual_mode=params["residual_mode"],
-                residual_duration=3.0,
-            )
+            device = generated_device(params)
         world = build_linear_world(
             n_routers=params["n_routers"],
             device=device,
@@ -220,17 +229,77 @@ def generated_world(params):
     return builder
 
 
-def check_parity(params):
-    """Run both engines on ``params``' world and assert they agree;
-    returns the batched run's telemetry counters. ``params["plan"]`` is
-    None, a preset's name or a :class:`FaultPlan`."""
+@st.composite
+def multipath_worlds(draw):
+    """A multipath world's knobs, shaped like ``build_multipath_world``:
+    2-3 parallel paths of 2-6 routers each, the device on a link of one
+    of them or on none, loss, the device's behaviour as in
+    :func:`linear_worlds`, and a generated fault plan whose path churn
+    re-hashes ECMP every few sends, so that the segments of one
+    connection switch paths, each with its own plan and schedule."""
+    branches = draw(
+        st.lists(st.integers(min_value=2, max_value=6), min_size=2, max_size=3)
+    )
+    device_at = draw(
+        st.none()
+        | st.integers(min_value=0, max_value=len(branches) - 1).flatmap(
+            lambda p: st.tuples(
+                st.just(p), st.integers(min_value=0, max_value=branches[p] - 1)
+            )
+        )
+    )
+    nodes = [f"p{p}r{i}" for p, n in enumerate(branches) for i in range(n)]
+    asns = [64501 + i for i in range(max(branches))] + [64999]
+    churn = st.builds(
+        PathChurnProfile,
+        rehash_after_packets=st.integers(min_value=1, max_value=8),
+        rehash_after_seconds=st.none() | st.sampled_from([0.5, 3.0]),
+    )
+    return {
+        "branches": tuple(branches),
+        "device_at": device_at,
+        "loss_rate": draw(st.floats(min_value=0.0, max_value=0.3)),
+        "port": draw(st.sampled_from([80, 8080])),
+        "action": draw(st.sampled_from([KIND_DROP, KIND_RST])),
+        "ttl_mode": draw(st.sampled_from([TTL_FIXED, TTL_COPY])),
+        "residual_mode": draw(
+            st.sampled_from([RESIDUAL_OFF, RESIDUAL_HOSTS, RESIDUAL_3TUPLE])
+        ),
+        "rst_to_server": draw(st.booleans()),
+        "plan": draw(fault_plans(nodes + ["endpoint"], asns, churn=churn)),
+        "seed": draw(st.integers(min_value=0, max_value=1000)),
+    }
+
+
+def generated_multipath_world(params):
+    """A ``run_pair`` builder for the multipath world ``params``
+    describes."""
+
+    def builder(loss_rate):
+        sim, client, _ = build_multipath_world(
+            loss_rate,
+            params["seed"],
+            branches=params["branches"],
+            device=generated_device(params),
+            device_at=params["device_at"],
+        )
+        return SimpleNamespace(sim=sim, client=client)
+
+    return builder
+
+
+def check_parity(params, world=generated_world):
+    """Run both engines on the world ``world(params)`` builds and assert
+    they agree; returns the observation and the batched run's telemetry
+    counters. ``params["plan"]`` is None, a preset's name or a
+    :class:`FaultPlan`."""
     plan = params["plan"]
     return run_pair(
-        generated_world(params),
+        world(params),
         params["loss_rate"],
         workload=functools.partial(tcp_workflow, n=12, port=params["port"]),
         plan=PRESETS[plan] if isinstance(plan, str) else plan,
-    )[2]
+    )[1:]
 
 
 class TestGeneratedWorldParity:
@@ -255,7 +324,7 @@ class TestGeneratedWorldParity:
         back (the TTL-4 probes: 2 of TTL left against 2 routers behind
         the device at link 2, 1 against 3 at link 3); the engines agree
         on those walks under uniform loss and a loss profile too."""
-        counters = check_parity(
+        _, counters = check_parity(
             {
                 "n_routers": 6,
                 "device_link": device_link,
@@ -277,3 +346,15 @@ class TestGeneratedWorldParity:
     @given(params=linear_worlds())
     def test_tcp_workflow_parity_exhaustive(self, params):
         check_parity(params)
+
+    @settings(max_examples=25, deadline=None)
+    @given(params=multipath_worlds())
+    def test_multipath_churn_parity(self, params):
+        observed, _ = check_parity(params, world=generated_multipath_world)
+        assert observed["faults"]["counters"]["churn_epochs"] > 0
+
+    @pytest.mark.slow
+    @settings(max_examples=500, deadline=None)
+    @given(params=multipath_worlds())
+    def test_multipath_churn_parity_exhaustive(self, params):
+        check_parity(params, world=generated_multipath_world)
